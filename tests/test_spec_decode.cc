@@ -397,6 +397,64 @@ TEST(SpecRegression, GoldenSeededRun)
     cllm::testing::checkAgainstGolden("spec_small.json", actual);
 }
 
+TEST(SpecRegression, AllFeaturesGoldenSeededRun)
+{
+    // Every serving feature at once: a paged pool tight enough to
+    // preempt, a per-tenant prefix cache over shared system prompts,
+    // decode-priority chunked prefill, k=4 speculation, and a deadline
+    // that times requests out. Mixed steps are the only place the
+    // draft+verify cycle is fused with prefill slices, so this pins
+    // that composition.
+    WorkloadConfig load;
+    load.arrivalRate = 1.0;
+    load.numRequests = 120;
+    load.meanInLen = 512;
+    load.meanOutLen = 128;
+    load.seed = 61;
+    std::vector<Request> trace = generateWorkload(load);
+    applySharedPrefixMix(trace, SharedPrefixMix{});
+
+    ServerConfig cfg = specConfig(4);
+    cfg.kvBlocks = 640;
+    cfg.prefixMode = PrefixMode::PerTenant;
+    cfg.chunkedPrefill.mode = ChunkMode::DecodePriority;
+    cfg.chunkedPrefill.chunkTokens = 128;
+    cfg.resilience.requestTimeout = 75.0;
+    const ServeMetrics m = Server(cpuModel(), cfg).run(trace);
+
+    // The run must actually exercise every feature it claims to pin.
+    EXPECT_GT(m.kvPreemptions, 0u);
+    EXPECT_GT(m.prefixHits, 0u);
+    EXPECT_GT(m.mixedSteps, 0u);
+    EXPECT_GT(m.timedOut, 0u);
+    EXPECT_GT(m.completed, 0u);
+
+    std::map<std::string, double> actual;
+    actual["completed"] = static_cast<double>(m.completed);
+    actual["timed_out"] = static_cast<double>(m.timedOut);
+    actual["kv_preemptions"] = static_cast<double>(m.kvPreemptions);
+    actual["prefix_hits"] = static_cast<double>(m.prefixHits);
+    actual["output_tokens"] = static_cast<double>(m.outputTokens);
+    actual["decode_steps"] = static_cast<double>(m.decodeSteps);
+    actual["mixed_steps"] = static_cast<double>(m.mixedSteps);
+    actual["spec_verify_steps"] =
+        static_cast<double>(m.specVerifySteps);
+    actual["spec_draft_tokens"] =
+        static_cast<double>(m.specDraftTokens);
+    actual["spec_accepted_tokens"] =
+        static_cast<double>(m.specAccepted);
+    actual["spec_rejected_tokens"] =
+        static_cast<double>(m.specRejected);
+    actual["spec_bonus_tokens"] = static_cast<double>(m.specBonus);
+    actual["ttft_p50_s"] = m.ttft.p50;
+    actual["ttft_p99_s"] = m.ttft.p99;
+    actual["itl_p50_s"] = m.itl.p50;
+    actual["itl_p99_s"] = m.itl.p99;
+    actual["makespan_s"] = m.makespan;
+    cllm::testing::checkAgainstGolden("all_features_small.json",
+                                      actual);
+}
+
 TEST(SpecRegression, TimeoutAccountingKeepsOccupancyClosed)
 {
     // Timed-out requests never deliver tokens past their deadline,
