@@ -200,66 +200,15 @@ ContinuousEngine::ContinuousEngine(const StepModel &step,
     : step_(&step), cfg_(cfg), inj_(cfg_.faults)
 {
     inj_.setTrace(cfg_.tracer, cfg_.traceLane);
-    if (cfg_.maxBatch == 0)
-        cllm_fatal("ContinuousEngine: zero batch capacity");
+    validate(cfg_, "ContinuousEngine");
     if (cfg_.policy != BatchPolicy::Continuous)
         cllm_fatal("ContinuousEngine: requires continuous batching");
-    if (!cfg_.faults.empty() && cfg_.resilience.retryBackoff <= 0.0)
-        cllm_fatal("ContinuousEngine: fault injection requires a "
-                   "positive retry backoff");
-    if (cfg_.resilience.backoffMultiplier < 1.0)
-        cllm_fatal("ContinuousEngine: backoff multiplier below 1");
-    if (cfg_.resilience.shedOnKvPressure &&
-        (cfg_.resilience.shedThreshold <= 0.0 ||
-         cfg_.resilience.shedThreshold > 1.0))
-        cllm_fatal("ContinuousEngine: shed threshold outside (0, 1]");
-    if (cfg_.kvMode == KvMode::Paged) {
-        if (cfg_.kvBlocks == 0)
-            cllm_fatal("ContinuousEngine: paged KV requires a "
-                       "bounded pool");
-        if (cfg_.paged.minFreeBlocks >= cfg_.kvBlocks)
-            cllm_fatal("ContinuousEngine: paged KV watermark "
-                       "swallows the pool");
-        if (cfg_.paged.preempt == KvPreemptPolicy::SwapToEpc &&
-            cfg_.paged.kvBytesPerToken <= 0.0)
-            cllm_fatal("ContinuousEngine: swap preemption requires "
-                       "KV bytes per token");
-    }
-    if (cfg_.prefixMode != PrefixMode::Off &&
-        cfg_.kvMode != KvMode::Paged)
-        cllm_fatal("ContinuousEngine: prefix caching requires paged "
-                   "KV");
-    if (cfg_.chunkedPrefill.mode != ChunkMode::Off) {
-        if (cfg_.chunkedPrefill.chunkTokens == 0)
-            cllm_fatal("ContinuousEngine: zero chunk size");
-        if (cfg_.chunkedPrefill.stepTokenBudget != 0 &&
-            cfg_.chunkedPrefill.stepTokenBudget <
-                cfg_.chunkedPrefill.chunkTokens)
-            cllm_fatal("ContinuousEngine: step token budget below "
-                       "the chunk size");
-        if (cfg_.chunkedPrefill.starvationIters == 0)
-            cllm_fatal("ContinuousEngine: zero starvation-guard "
-                       "window");
-        chunked_ = true;
-        tally_.chunkedEnabled = true;
-    }
-    if (cfg_.specDecode.enabled) {
-        if (cfg_.specDecode.draftTokens == 0)
-            cllm_fatal("ContinuousEngine: speculative decoding with "
-                       "zero draft tokens");
-        if (cfg_.specDecode.draftCostRatio <= 0.0 ||
-            cfg_.specDecode.draftCostRatio >= 1.0)
-            cllm_fatal("ContinuousEngine: draft cost ratio outside "
-                       "(0, 1)");
-        if (cfg_.specDecode.acceptProb < 0.0 ||
-            cfg_.specDecode.acceptProb > 1.0)
-            cllm_fatal("ContinuousEngine: acceptance probability "
-                       "outside [0, 1]");
-        spec_ = true;
-        tally_.specEnabled = true;
-    }
+    chunked_ = tally_.chunkedEnabled =
+        cfg_.chunkedPrefill.mode != ChunkMode::Off;
+    spec_ = tally_.specEnabled = cfg_.specDecode.enabled;
     if (cfg_.kvBlocks)
-        pool_.emplace(KvPoolConfig{cfg_.kvBlocks, cfg_.kvBlockTokens});
+        pool_.emplace(
+            mem::PagedKvConfig{cfg_.kvBlocks, cfg_.kvBlockTokens});
     if (cfg_.prefixMode != PrefixMode::Off) {
         // &*pool_ is stable: the optional is never re-emplaced.
         prefix_.emplace(cfg_.prefixMode, &*pool_,
@@ -275,6 +224,11 @@ ContinuousEngine::submit(Request *r, double ready_at, unsigned attempts)
         r->promptTokens.size() != r->inLen)
         cllm_fatal("ContinuousEngine: prompt token count mismatch "
                    "for request ",
+                   r->id);
+    // Every request emits at least one token: the step's draft widths
+    // (outLen - produced - 1) and its completion check assume it.
+    if (r->outLen == 0)
+        cllm_fatal("ContinuousEngine: zero output length for request ",
                    r->id);
     pending_.push({r, ready_at, attempts, 0, false, -1.0});
     submitted_.push_back(r);
@@ -496,14 +450,16 @@ ContinuousEngine::preemptActive(std::size_t idx)
                    victim.produced, swapped, victim.lastEmit});
 }
 
-// Before a paged decode step every active sequence must be able to
-// append one token. Grow in index order (admission order); on pool
-// exhaustion evict from the tail (LIFO — the youngest sequence has
-// the least sunk cost), or the growing sequence itself when it is
-// the youngest. The head of the batch can always finish: admission
+// Before a paged step every decoding sequence must be able to append
+// this step's tokens. Prefilling sequences (chunked mode only) already
+// hold their whole resident context, allocated at admission. Grow in
+// index order (admission order); on pool exhaustion evict from the
+// tail (LIFO — the youngest sequence has the least sunk cost), or the
+// growing sequence itself when it is the youngest, whatever phase the
+// victim is in. The head of the batch can always finish: admission
 // guaranteed its full context fits in the pool alone.
 void
-ContinuousEngine::growActivePaged()
+ContinuousEngine::growPaged()
 {
     for (std::size_t i = 0; i < active_.size();) {
         const ActiveSeq &a = active_[i];
@@ -514,7 +470,8 @@ ContinuousEngine::growActivePaged()
         // so the head of the batch can still always finish.
         const unsigned target =
             r->inLen + a.produced + (spec_ ? a.draftK + 1u : 1u);
-        if (pool_->tokens(r->id) >= target) {
+        if (a.prefillDone < a.prefillTarget ||
+            pool_->tokens(r->id) >= target) {
             ++i;
             continue;
         }
@@ -536,48 +493,6 @@ ContinuousEngine::growActivePaged()
             preemptActive(i + 1 < active_.size() ? active_.size() - 1
                                                  : i);
             continue; // retry the same slot (or fall off the end)
-        }
-        if (!pool_->appendToken(r->id))
-            cllm_panic("paged KV append failed with free blocks");
-    }
-}
-
-// Chunked-mode growth: prefilling sequences already hold their whole
-// resident context (allocated at admission), so only decoding
-// sequences need a token's worth of room this step. Victim selection
-// is unchanged — LIFO from the batch tail, whatever phase the victim
-// is in; preemptActive downgrades mid-prefill victims to recompute.
-void
-ContinuousEngine::growDecodingPaged()
-{
-    for (std::size_t i = 0; i < active_.size();) {
-        ActiveSeq &a = active_[i];
-        if (a.prefillDone < a.prefillTarget) {
-            ++i;
-            continue;
-        }
-        Request *r = a.req;
-        const unsigned target =
-            r->inLen + a.produced + (spec_ ? a.draftK + 1u : 1u);
-        if (pool_->tokens(r->id) >= target) {
-            ++i;
-            continue;
-        }
-        const bool needs_block =
-            pool_->tokens(r->id) % cfg_.kvBlockTokens == 0;
-        if (needs_block && pool_->freeBlocks() == 0) {
-            if (prefix_) {
-                const std::uint64_t freed =
-                    prefix_->evictToFree(1, clock_);
-                if (freed > 0) {
-                    prefixEvictCounter().add(freed);
-                    syncPrefixTally();
-                    continue;
-                }
-            }
-            preemptActive(i + 1 < active_.size() ? active_.size() - 1
-                                                 : i);
-            continue;
         }
         if (!pool_->appendToken(r->id))
             cllm_panic("paged KV append failed with free blocks");
@@ -908,424 +823,153 @@ ContinuousEngine::iterate(double admit_horizon)
     if (active_.empty())
         return; // everything remaining was dropped
 
-    // Chunked mode with any sequence still prefilling runs one mixed
-    // token-budgeted step instead of the monolithic decode below;
-    // once every active sequence is decoding the paths converge.
-    if (chunked_) {
-        bool any_prefilling = false;
-        for (const ActiveSeq &a : active_) {
-            if (a.prefillDone < a.prefillTarget) {
-                any_prefilling = true;
-                break;
-            }
-        }
-        if (any_prefilling) {
-            chunkedStep();
-            return;
-        }
-    }
-
-    // Speculative decoding runs its own propose->verify cycle (which
-    // does its own KV growth: draft widths must be fixed first).
-    if (spec_) {
-        specStep();
-        return;
-    }
-
-    // Paged mode: make room for this step's tokens, evicting from the
-    // batch tail when the pool is exhausted.
-    if (pool_ && cfg_.kvMode == KvMode::Paged) {
-        growActivePaged();
-        kvPeak_ = std::max(kvPeak_, pool_->utilization());
-        if (active_.empty())
-            return; // whole batch preempted (pathological pool)
-    }
-
-    // One decode step for everyone currently active.
-    double avg_pos = 0.0;
-    for (const ActiveSeq &a : active_)
-        avg_pos += a.req->inLen + a.produced;
-    avg_pos /= active_.size();
-    const double step_t0 = clock_;
-    double step_sec = step_->decodeStep(
-        static_cast<double>(active_.size()), avg_pos);
-    if (inj_.enabled())
-        step_sec *= inj_.slowdown(clock_);
-    clock_ += step_sec;
-    maxActive_ = std::max(maxActive_, active_.size());
-    kvUtilSum_ += pool_ ? pool_->utilization() : 0.0;
-    ++steps_;
-    ++tally_.decodeSteps;
-    decodeStepCounter().inc();
-    if (tr)
-        tr->complete(
-            lane, "decode", step_t0, clock_,
-            {{"batch", static_cast<double>(active_.size())},
-             {"avg_pos", avg_pos}});
-
-    std::uint64_t emitted_total = 0;
-    for (auto it = active_.begin(); it != active_.end();) {
-        // Deadline first: a token completing past the deadline is
-        // never delivered, so it enters neither itlSamples nor the
-        // occupancy sum, and the victim's earlier emissions come back
-        // out of the sum — only completed requests bill tokens, and
-        // occupancySum == outputTokens holds in any restart-free run.
-        if (rp.requestTimeout > 0.0 &&
-            clock_ - it->req->arrival > rp.requestTimeout) {
-            ++tally_.timedOut;
-            occupancySum_ -= static_cast<double>(it->produced);
-            if (pool_)
-                pool_->release(it->req->id);
-            if (tr) {
-                tr->instant(
-                    lane, "timeout_decoding", clock_,
-                    {{"req",
-                      static_cast<double>(it->req->id)}});
-                tr->asyncEnd(lane, kReqCat, it->req->id, "timeout",
-                             clock_);
-            }
-            it = active_.erase(it);
-            continue;
-        }
-        ++it->produced;
-        ++emitted_total;
-        // Inter-token gap, measured client-side: from the previous
-        // emission (wherever it happened — before a preemption, even
-        // before a restart) to this one.
-        tally_.itlSamples.push_back(clock_ - it->lastEmit);
-        it->lastEmit = clock_;
-        if (it->produced >= it->req->outLen) {
-            it->req->finish = clock_;
-            finished_.push_back(it->req);
-            if (pool_)
-                pool_->release(it->req->id);
-            if (tr)
-                tr->asyncEnd(lane, kReqCat, it->req->id,
-                             "complete", clock_);
-            it = active_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    occupancySum_ += static_cast<double>(emitted_total);
-    tokenCounter().add(emitted_total);
-    if (pool_) {
-        publishKvGauges();
-        if (tr)
-            tr->counterValue(lane, "kv_util", clock_,
-                             pool_->utilization());
-    }
+    step();
 }
 
-// One speculative propose->verify cycle. The draft model proposes up
-// to k tokens per sequence (capped so the cycle never runs past the
-// sequence's last token — the verify emission covers it); the target
-// scores all drafts in one fused verify step, paying the weight
-// stream and the per-step TEE tax (MEE/EPC traffic, enclave
-// transitions, launch encryption) once for up to k+1 tokens. Each
-// sequence then emits its accepted draft prefix plus one token: the
-// bonus token when every draft survived, the rejection-resampled
-// correction otherwise. Rejected draft KV rolls back out of the
-// paged pool so reuse, forks, and pins stay consistent.
+// One engine step: plan, price, commit (see the class comment in
+// engine.hh).
 void
-ContinuousEngine::specStep()
+ContinuousEngine::step()
 {
     const ResiliencePolicy &rp = cfg_.resilience;
+    const SpecDecodePolicy &sp = cfg_.specDecode;
     obs::Tracer *tr = simTracer(cfg_);
     const std::uint32_t lane = cfg_.traceLane;
-    const SpecDecodePolicy &sp = cfg_.specDecode;
+    const bool paged = pool_ && cfg_.kvMode == KvMode::Paged;
 
-    // Fix draft widths first: KV growth must know how many tokens of
-    // room each sequence needs this cycle.
+    // ---- Plan -------------------------------------------------------
+    // Draft widths first: KV growth must know how many tokens of room
+    // each decoding sequence needs. The cap keeps the cycle from
+    // running past the sequence's last token (the verify emission
+    // covers it). `mixed` records whether any prompt is still being
+    // prefilled as the step starts, before growth can preempt it; it
+    // fixes the spec cycle's summation order below.
+    bool mixed = false;
     for (ActiveSeq &a : active_) {
-        const unsigned remaining = a.req->outLen - a.produced;
-        a.draftK = std::min(sp.draftTokens, remaining - 1);
+        if (a.prefillDone < a.prefillTarget)
+            mixed = true;
+        else if (spec_)
+            a.draftK = std::min(sp.draftTokens,
+                                a.req->outLen - a.produced - 1);
     }
-    if (pool_ && cfg_.kvMode == KvMode::Paged) {
-        growActivePaged();
+    // Growth may preempt from the tail (possibly a prefilling
+    // sequence), so phases are partitioned only afterwards.
+    if (paged) {
+        growPaged();
         kvPeak_ = std::max(kvPeak_, pool_->utilization());
         if (active_.empty())
             return; // whole batch preempted (pathological pool)
     }
-
-    const double n = static_cast<double>(active_.size());
+    unsigned ndecode = 0;
     double avg_pos = 0.0;
     double mean_k = 0.0;
-    for (const ActiveSeq &a : active_) {
-        avg_pos += a.req->inLen + a.produced;
-        mean_k += a.draftK;
-    }
-    avg_pos /= n;
-    mean_k /= n;
-
-    // Price one draft pass plus one fused verify step. The draft
-    // model runs k sequential decode steps at draftCostRatio of the
-    // target's price; the verify streams the weights once for the
-    // whole k+1-token window.
-    const double step_t0 = clock_;
-    const double slow = inj_.enabled() ? inj_.slowdown(clock_) : 1.0;
-    const double draft_sec =
-        mean_k > 0.0
-            ? sp.draftCostRatio * mean_k *
-                  step_->decodeStep(n, avg_pos) * slow
-            : 0.0;
-    const double verify_sec =
-        step_->verifyStep(n, mean_k, avg_pos) * slow;
-    clock_ += draft_sec + verify_sec;
-    maxActive_ = std::max(maxActive_, active_.size());
-    kvUtilSum_ += pool_ ? pool_->utilization() : 0.0;
-    ++steps_;
-    ++tally_.decodeSteps;
-    ++tally_.specVerifySteps;
-    decodeStepCounter().inc();
-    specVerifyCounter().inc();
-    if (tr) {
-        const double draft_end = step_t0 + draft_sec;
-        if (draft_sec > 0.0)
-            tr->complete(lane, "decode.draft", step_t0, draft_end,
-                         {{"batch", n}, {"draft_k", mean_k}});
-        tr->complete(lane, "decode.verify", draft_end, clock_,
-                     {{"batch", n},
-                      {"draft_k", mean_k},
-                      {"avg_pos", avg_pos}});
+    for (ActiveSeq &a : active_) {
+        a.decodes = a.prefillDone >= a.prefillTarget;
+        if (a.decodes) {
+            ++ndecode;
+            avg_pos += a.req->inLen + a.produced;
+            mean_k += a.draftK;
+        }
     }
 
-    const bool paged = pool_ && cfg_.kvMode == KvMode::Paged;
-    std::uint64_t emitted_total = 0;
-    std::uint64_t drafted = 0;
-    std::uint64_t accepted_total = 0;
-    std::uint64_t bonus_total = 0;
-    std::uint64_t reject_total = 0;
-    for (auto it = active_.begin(); it != active_.end();) {
-        // Deadline first, before anything from this cycle is
-        // delivered (see the monolithic loop).
-        if (rp.requestTimeout > 0.0 &&
-            clock_ - it->req->arrival > rp.requestTimeout) {
-            ++tally_.timedOut;
-            occupancySum_ -= static_cast<double>(it->produced);
-            if (pool_)
-                pool_->release(it->req->id);
-            if (tr) {
-                tr->instant(
-                    lane, "timeout_decoding", clock_,
-                    {{"req",
-                      static_cast<double>(it->req->id)}});
-                tr->asyncEnd(lane, kReqCat, it->req->id, "timeout",
-                             clock_);
+    // Cut the slices (chunked mode only: nothing else prefills in a
+    // step). DecodePriority reserves one budget token per decoding
+    // sequence before any slice is cut; PrefillPriority hands the whole
+    // budget to the slices. A sequence starved of budget for
+    // starvationIters consecutive iterations gets a forced slice — at
+    // most one forced slice per step (contended in admission order),
+    // which keeps the step's prefill tokens under budget + chunkTokens
+    // while still bounding every sequence's wait no matter how busy
+    // decode keeps the step.
+    slices_.clear();
+    if (ndecode < active_.size()) {
+        const ChunkedPrefillPolicy &cp = cfg_.chunkedPrefill;
+        // The default budget always fits one full slice beside a full
+        // decode batch, so no legal configuration can deadlock.
+        const unsigned budget =
+            cp.stepTokenBudget ? cp.stepTokenBudget
+                               : cp.chunkTokens + cfg_.maxBatch;
+        unsigned rem = cp.mode == ChunkMode::DecodePriority
+                           ? (budget > ndecode ? budget - ndecode : 0)
+                           : budget;
+        bool forced_used = false;
+        for (std::size_t i = 0; i < active_.size(); ++i) {
+            ActiveSeq &a = active_[i];
+            if (a.decodes)
+                continue;
+            const unsigned remaining = a.prefillTarget - a.prefillDone;
+            unsigned take =
+                std::min(std::min(cp.chunkTokens, remaining), rem);
+            bool forced = false;
+            if (take == 0) {
+                if (a.stallIters < cp.starvationIters)
+                    ++a.stallIters;
+                if (a.stallIters < cp.starvationIters || forced_used)
+                    continue;
+                take = std::min(cp.chunkTokens, remaining);
+                forced = forced_used = true;
             }
-            it = active_.erase(it);
-            continue;
-        }
-        // Longest accepted draft prefix: position produced+j is a
-        // pure function of (seed, id, j), replayable anywhere.
-        unsigned acc = 0;
-        while (acc < it->draftK &&
-               specAccept(sp, it->req->id, it->produced + acc))
-            ++acc;
-        const unsigned emit = acc + 1;
-        drafted += it->draftK;
-        accepted_total += acc;
-        tally_.specDraftTokens += it->draftK;
-        tally_.specAccepted += acc;
-        // The +1 token is a bonus token when every draft survived,
-        // else the rejection-resampled correction — so accepted +
-        // rejected + bonus counts every emitted token exactly once.
-        if (acc == it->draftK) {
-            ++tally_.specBonus;
-            ++bonus_total;
-        } else {
-            ++tally_.specRejected;
-            ++reject_total;
-        }
-        // The cycle's tokens reach the client together at the verify
-        // boundary; spread the gap across them so ITL samples keep
-        // their per-token meaning.
-        const double gap = (clock_ - it->lastEmit) /
-                           static_cast<double>(emit);
-        for (unsigned j = 0; j < emit; ++j)
-            tally_.itlSamples.push_back(gap);
-        it->lastEmit = clock_;
-        it->produced += emit;
-        emitted_total += emit;
-        // Roll rejected draft KV back out of the pool (no-op when
-        // every draft survived; reserved mode holds the full
-        // reservation and never trims).
-        if (paged && it->produced < it->req->outLen)
-            pool_->trimTokens(it->req->id,
-                              it->req->inLen + it->produced);
-        if (it->produced >= it->req->outLen) {
-            it->req->finish = clock_;
-            finished_.push_back(it->req);
-            if (pool_)
-                pool_->release(it->req->id);
-            if (tr)
-                tr->asyncEnd(lane, kReqCat, it->req->id,
-                             "complete", clock_);
-            it = active_.erase(it);
-        } else {
-            ++it;
+            a.stallIters = 0;
+            rem -= std::min(take, rem);
+            slices_.push_back({i, take, forced});
         }
     }
-    occupancySum_ += static_cast<double>(emitted_total);
-    tokenCounter().add(emitted_total);
-    specDraftCounter().add(drafted);
-    specAcceptCounter().add(accepted_total);
-    specRejectCounter().add(reject_total);
-    specBonusCounter().add(bonus_total);
-    if (pool_) {
-        publishKvGauges();
-        if (tr)
-            tr->counterValue(lane, "kv_util", clock_,
-                             pool_->utilization());
-    }
-}
 
-// One mixed prefill/decode iteration under the token budget. Every
-// decoding sequence emits a token; prefilling sequences advance by at
-// most one chunk each, planned in admission order from whatever
-// budget decode left over (DecodePriority) or ahead of decode
-// (PrefillPriority — decode still runs, it just stops constraining
-// the slices). The step is priced as one fused launch: the decode
-// batch streams the weights once, and every slice after the first
-// co-scheduled phase rides that stream, paying only its marginal
-// working set (its attention FLOPs, its activations, the KV it
-// writes, the prefix KV it re-reads) plus its own per-op fixed costs.
-void
-ContinuousEngine::chunkedStep()
-{
-    const ResiliencePolicy &rp = cfg_.resilience;
-    obs::Tracer *tr = simTracer(cfg_);
-    const std::uint32_t lane = cfg_.traceLane;
-    const ChunkedPrefillPolicy &cp = cfg_.chunkedPrefill;
-    const SpecDecodePolicy &sp = cfg_.specDecode;
-    // The default budget always fits one full slice beside a full
-    // decode batch, so no legal configuration can deadlock.
-    const unsigned budget =
-        cp.stepTokenBudget ? cp.stepTokenBudget
-                           : cp.chunkTokens + cfg_.maxBatch;
-
-    // Decoding sequences need a token's worth of KV room (a spec
-    // cycle's worth when speculation is on — widths fixed before
-    // growth); growth may preempt from the tail (possibly a
-    // prefilling sequence), so partition phases only afterwards.
-    if (spec_) {
-        for (ActiveSeq &a : active_) {
-            if (a.prefillDone < a.prefillTarget)
-                continue;
-            const unsigned remaining = a.req->outLen - a.produced;
-            a.draftK = std::min(sp.draftTokens, remaining - 1);
-        }
-    }
-    if (pool_ && cfg_.kvMode == KvMode::Paged) {
-        growDecodingPaged();
-        kvPeak_ = std::max(kvPeak_, pool_->utilization());
-        if (active_.empty())
-            return; // whole batch preempted (pathological pool)
-    }
-
-    std::vector<std::size_t> decoding, prefilling;
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (active_[i].prefillDone < active_[i].prefillTarget)
-            prefilling.push_back(i);
-        else
-            decoding.push_back(i);
-    }
-    const unsigned ndecode =
-        static_cast<unsigned>(decoding.size());
-
-    // Plan the slices. DecodePriority reserves one budget token per
-    // decoding sequence before any slice is cut; PrefillPriority
-    // hands the whole budget to the slices. A sequence starved of
-    // budget for starvationIters consecutive iterations gets a
-    // forced slice — at most one forced slice per step (contended in
-    // admission order), which keeps the step's prefill tokens under
-    // budget + chunkTokens while still bounding every sequence's
-    // wait no matter how busy decode keeps the step.
-    unsigned rem = cp.mode == ChunkMode::DecodePriority
-                       ? (budget > ndecode ? budget - ndecode : 0)
-                       : budget;
-    struct Slice
-    {
-        std::size_t idx;
-        unsigned tokens;
-        bool forced;
-    };
-    std::vector<Slice> slices;
-    bool forced_used = false;
-    for (std::size_t idx : prefilling) {
-        ActiveSeq &a = active_[idx];
-        const unsigned remaining = a.prefillTarget - a.prefillDone;
-        unsigned take =
-            std::min(std::min(cp.chunkTokens, remaining), rem);
-        bool forced = false;
-        if (take == 0) {
-            if (a.stallIters < cp.starvationIters)
-                ++a.stallIters;
-            if (a.stallIters < cp.starvationIters || forced_used)
-                continue;
-            take = std::min(cp.chunkTokens, remaining);
-            forced = forced_used = true;
-        }
-        a.stallIters = 0;
-        rem -= std::min(take, rem);
-        slices.push_back({idx, take, forced});
-    }
-
-    // Price the fused step: decode first, then the slices in plan
-    // order, each laid out sequentially on the trace timeline. The
-    // first phase of the step streams the weights; everything after
-    // it is marginal.
+    // ---- Price ------------------------------------------------------
+    // Decode first, then the slices in plan order, each laid out
+    // sequentially on the trace timeline. The first phase of the step
+    // streams the weights; every slice after it rides that stream,
+    // paying only its marginal working set (its attention FLOPs, its
+    // activations, the KV it writes, the prefix KV it re-reads) plus
+    // its own per-op fixed costs.
     const double step_t0 = clock_;
     const double slow = inj_.enabled() ? inj_.slowdown(clock_) : 1.0;
     double t = clock_;
     if (ndecode) {
-        double avg_pos = 0.0;
-        double mean_k = 0.0;
-        for (std::size_t idx : decoding) {
-            avg_pos += active_[idx].req->inLen +
-                       active_[idx].produced;
-            mean_k += active_[idx].draftK;
-        }
-        avg_pos /= ndecode;
-        mean_k /= ndecode;
+        const double n = ndecode;
+        avg_pos /= n;
+        mean_k /= n;
         if (spec_) {
-            // Propose->verify cycle fused with the slices: the draft
-            // pass runs first, then the verify streams the weights
-            // that the co-scheduled slices ride on.
+            // The draft model runs k sequential decode steps at
+            // draftCostRatio of the target's price; the verify streams
+            // the weights once for the whole k+1-token window, paying
+            // the per-step TEE tax (MEE/EPC traffic, enclave
+            // transitions, launch encryption) once.
             const double draft_sec =
-                mean_k > 0.0
-                    ? sp.draftCostRatio * mean_k *
-                          step_->decodeStep(ndecode, avg_pos) * slow
-                    : 0.0;
+                mean_k > 0.0 ? sp.draftCostRatio * mean_k *
+                                   step_->decodeStep(n, avg_pos) * slow
+                             : 0.0;
             const double verify_sec =
-                step_->verifyStep(ndecode, mean_k, avg_pos) * slow;
-            if (tr && draft_sec > 0.0)
-                tr->complete(
-                    lane, "decode.draft", t, t + draft_sec,
-                    {{"batch", static_cast<double>(ndecode)},
-                     {"draft_k", mean_k}});
-            t += draft_sec;
-            if (tr)
-                tr->complete(
-                    lane, "decode.verify", t, t + verify_sec,
-                    {{"batch", static_cast<double>(ndecode)},
-                     {"draft_k", mean_k},
-                     {"avg_pos", avg_pos}});
-            t += verify_sec;
+                step_->verifyStep(n, mean_k, avg_pos) * slow;
+            const double draft_end = t + draft_sec;
+            // Floating-point addition does not associate, so the two
+            // step shapes keep their own orders and every completion
+            // time stays bit-identical: a pure decode batch adds the
+            // cycle's two phases before advancing the clock, a step
+            // that started mixed advances it phase by phase. (The
+            // goldens compare at 1e-9 and would not notice a merge.)
+            t = mixed ? draft_end + verify_sec
+                      : t + (draft_sec + verify_sec);
+            if (tr) {
+                if (draft_sec > 0.0)
+                    tr->complete(lane, "decode.draft", step_t0,
+                                 draft_end,
+                                 {{"batch", n}, {"draft_k", mean_k}});
+                tr->complete(lane, "decode.verify", draft_end, t,
+                             {{"batch", n},
+                              {"draft_k", mean_k},
+                              {"avg_pos", avg_pos}});
+            }
         } else {
-            const double dec_sec =
-                step_->decodeStep(ndecode, avg_pos) * slow;
-            t += dec_sec;
+            t += step_->decodeStep(n, avg_pos) * slow;
             if (tr)
-                tr->complete(
-                    lane, "decode", step_t0, t,
-                    {{"batch", static_cast<double>(ndecode)},
-                     {"avg_pos", avg_pos}});
+                tr->complete(lane, "decode", step_t0, t,
+                             {{"batch", n}, {"avg_pos", avg_pos}});
         }
     }
     bool shared = ndecode > 0;
     std::uint64_t step_prefill_tokens = 0;
-    for (const Slice &s : slices) {
+    for (const Slice &s : slices_) {
         ActiveSeq &a = active_[s.idx];
         const double sec =
             step_->prefillChunk(a.prefillDone, s.tokens, shared) *
@@ -1353,7 +997,7 @@ ContinuousEngine::chunkedStep()
     clock_ = t;
     tally_.maxStepPrefillTokens =
         std::max(tally_.maxStepPrefillTokens, step_prefill_tokens);
-    if (ndecode && !slices.empty()) {
+    if (ndecode && !slices_.empty()) {
         ++tally_.mixedSteps;
         mixedStepCounter().inc();
     }
@@ -1369,9 +1013,10 @@ ContinuousEngine::chunkedStep()
     kvUtilSum_ += pool_ ? pool_->utilization() : 0.0;
     ++steps_;
 
-    // Sequences whose final slice landed become decoding next
-    // iteration; their first token completes with this step.
-    for (const Slice &s : slices) {
+    // ---- Commit -----------------------------------------------------
+    // Sequences whose final slice landed decode from the next step;
+    // their first token completes with this one.
+    for (const Slice &s : slices_) {
         ActiveSeq &a = active_[s.idx];
         if (a.prefillDone < a.prefillTarget)
             continue;
@@ -1389,23 +1034,18 @@ ContinuousEngine::chunkedStep()
         }
     }
 
-    // Token emission for decoding sequences, deadline checks for
-    // everyone (a prefilling sequence can blow its budget too).
-    // Deadlines are checked before emission: a token completing past
-    // the deadline is never delivered, and a timed-out victim's
-    // earlier emissions come back out of the occupancy sum so
-    // occupancySum == outputTokens holds in any restart-free run.
-    std::vector<char> was_decoding(active_.size(), 0);
-    for (std::size_t idx : decoding)
-        was_decoding[idx] = 1;
-    const bool paged = pool_ && cfg_.kvMode == KvMode::Paged;
     std::uint64_t emitted_total = 0;
     std::uint64_t drafted = 0;
     std::uint64_t accepted_total = 0;
     std::uint64_t bonus_total = 0;
     std::uint64_t reject_total = 0;
-    std::size_t i = 0;
-    for (auto it = active_.begin(); it != active_.end(); ++i) {
+    for (auto it = active_.begin(); it != active_.end();) {
+        // Deadline first, for everyone (a prefilling sequence can blow
+        // its budget too): a token completing past the deadline is
+        // never delivered, so it enters neither itlSamples nor the
+        // occupancy sum, and the victim's earlier emissions come back
+        // out of the sum — only completed requests bill tokens, and
+        // occupancySum == outputTokens holds in any restart-free run.
         if (rp.requestTimeout > 0.0 &&
             clock_ - it->req->arrival > rp.requestTimeout) {
             ++tally_.timedOut;
@@ -1413,66 +1053,77 @@ ContinuousEngine::chunkedStep()
             if (pool_)
                 pool_->release(it->req->id);
             if (tr) {
-                tr->instant(
-                    lane, "timeout_decoding", clock_,
-                    {{"req", static_cast<double>(it->req->id)}});
+                tr->instant(lane, "timeout_decoding", clock_,
+                            {{"req", static_cast<double>(it->req->id)}});
                 tr->asyncEnd(lane, kReqCat, it->req->id, "timeout",
                              clock_);
             }
             it = active_.erase(it);
             continue;
         }
-        if (was_decoding[i]) {
-            unsigned emit = 1;
-            if (spec_) {
-                // Same pure-function acceptance walk as specStep.
-                unsigned acc = 0;
-                while (acc < it->draftK &&
-                       specAccept(sp, it->req->id,
-                                  it->produced + acc))
-                    ++acc;
-                emit = acc + 1;
-                drafted += it->draftK;
-                accepted_total += acc;
-                tally_.specDraftTokens += it->draftK;
-                tally_.specAccepted += acc;
-                if (acc == it->draftK) {
-                    ++tally_.specBonus;
-                    ++bonus_total;
-                } else {
-                    ++tally_.specRejected;
-                    ++reject_total;
-                }
-            }
-            const double gap = (clock_ - it->lastEmit) /
-                               static_cast<double>(emit);
-            for (unsigned j = 0; j < emit; ++j)
-                tally_.itlSamples.push_back(gap);
-            it->lastEmit = clock_;
-            it->produced += emit;
-            emitted_total += emit;
-            if (spec_ && paged &&
-                it->produced < it->req->outLen)
-                pool_->trimTokens(it->req->id,
-                                  it->req->inLen + it->produced);
-            if (it->produced >= it->req->outLen) {
-                it->req->finish = clock_;
-                finished_.push_back(it->req);
-                if (pool_)
-                    pool_->release(it->req->id);
-                if (tr)
-                    tr->asyncEnd(lane, kReqCat, it->req->id,
-                                 "complete", clock_);
-                it = active_.erase(it);
-                continue;
-            }
+        if (!it->decodes) {
+            ++it;
+            continue;
         }
+        unsigned emit = 1;
+        if (spec_) {
+            // Longest accepted draft prefix: position produced+j is a
+            // pure function of (seed, id, j), replayable anywhere.
+            unsigned acc = 0;
+            while (acc < it->draftK &&
+                   specAccept(sp, it->req->id, it->produced + acc))
+                ++acc;
+            emit = acc + 1;
+            drafted += it->draftK;
+            accepted_total += acc;
+            // The +1 token is a bonus token when every draft survived,
+            // else the rejection-resampled correction — so accepted +
+            // rejected + bonus counts every emitted token exactly once.
+            if (acc == it->draftK)
+                ++bonus_total;
+            else
+                ++reject_total;
+        }
+        // Inter-token gap, measured client-side from the previous
+        // emission (wherever it happened — before a preemption, even
+        // before a restart). A spec cycle's tokens reach the client
+        // together at the verify boundary; the gap is spread across
+        // them so ITL samples keep their per-token meaning.
+        const double gap =
+            (clock_ - it->lastEmit) / static_cast<double>(emit);
+        for (unsigned j = 0; j < emit; ++j)
+            tally_.itlSamples.push_back(gap);
+        it->lastEmit = clock_;
+        it->produced += emit;
+        emitted_total += emit;
+        if (it->produced >= it->req->outLen) {
+            it->req->finish = clock_;
+            finished_.push_back(it->req);
+            if (pool_)
+                pool_->release(it->req->id);
+            if (tr)
+                tr->asyncEnd(lane, kReqCat, it->req->id, "complete",
+                             clock_);
+            it = active_.erase(it);
+            continue;
+        }
+        // Roll rejected draft KV back out of the pool so reuse, forks
+        // and pins see only verified tokens (no-op when every draft
+        // survived; reserved mode holds the full reservation and never
+        // trims).
+        if (spec_ && paged)
+            pool_->trimTokens(it->req->id,
+                              it->req->inLen + it->produced);
         ++it;
     }
     occupancySum_ += static_cast<double>(emitted_total);
-    if (emitted_total)
+    if (ndecode)
         tokenCounter().add(emitted_total);
     if (spec_ && ndecode) {
+        tally_.specDraftTokens += drafted;
+        tally_.specAccepted += accepted_total;
+        tally_.specRejected += reject_total;
+        tally_.specBonus += bonus_total;
         specDraftCounter().add(drafted);
         specAcceptCounter().add(accepted_total);
         specRejectCounter().add(reject_total);

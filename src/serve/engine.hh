@@ -28,7 +28,24 @@ namespace cllm::serve {
  * iteration. Construction validates the config the same way Server
  * does; `submit` enqueues a request for admission at `ready_at`;
  * `iterate` performs one loop iteration (restart handling, admission,
- * then either a time advance or one decode step).
+ * then either a time advance or one engine step).
+ *
+ * Every step, whatever features are on, runs the same three phases:
+ *
+ *  - **Plan.** Fix each decoding sequence's draft width (speculative
+ *    decoding only), grow the paged KV pool so every decoding
+ *    sequence has room for this step's tokens (preempting from the
+ *    batch tail when it runs dry), then cut this step's prefill slices
+ *    under the token budget (chunked prefill only).
+ *  - **Price.** The step is one fused launch: the decode phase first
+ *    (one decode step, or a draft pass plus one verify step that pays
+ *    the weight stream and the per-step TEE tax once for up to k+1
+ *    tokens), then the slices in plan order, each riding the weight
+ *    stream the phase before it opened.
+ *  - **Commit.** Prompts whose last slice landed get their first
+ *    token; then every sequence, in batch order, is checked against
+ *    its deadline, emits its tokens (one, or its accepted draft prefix
+ *    plus one), rolls rejected draft KV back, and completes.
  */
 class ContinuousEngine
 {
@@ -135,6 +152,10 @@ class ContinuousEngine
         // sequence (0 outside spec mode); set before KV growth so the
         // pool can make room for k drafts plus the emitted token.
         unsigned draftK = 0;
+        // Whether the sequence decodes in the current step. Fixed by
+        // the plan, because pricing a slice advances prefillDone and a
+        // prompt finishing this step only decodes from the next.
+        bool decodes = false;
         // Completion time of this sequence's last emitted token, the
         // baseline for inter-token-latency samples. Carried across
         // preemptions and retries so ITL stays client-perceived.
@@ -183,26 +204,14 @@ class ContinuousEngine
                  double last_emit = -1.0);
     double swapSeconds(unsigned tokens) const;
     void preemptActive(std::size_t idx);
-    void growActivePaged();
-    /** Like growActivePaged, but only decoding sequences append. */
-    void growDecodingPaged();
     /**
-     * One speculative propose->verify cycle for a pure decode batch:
-     * a draft model proposes up to `draftTokens` tokens per sequence,
-     * the target scores them all in a single fused verify step (paying
-     * the weight stream and the per-step TEE tax once), and every
-     * sequence emits its accepted draft prefix plus one token.
-     * Rejected draft KV is rolled back through the paged pool.
+     * Make KV room for every decoding sequence's tokens this step (one,
+     * or k drafts plus one), evicting cached prefixes first and then
+     * preempting from the batch tail when the pool runs dry.
      */
-    void specStep();
-    /**
-     * One token-budgeted mixed prefill/decode step: every decoding
-     * sequence emits a token while prefilling sequences advance by at
-     * most one `chunkTokens` slice each, planned in admission order
-     * under the per-iteration budget. Only called when chunking is on
-     * and at least one active sequence is still prefilling.
-     */
-    void chunkedStep();
+    void growPaged();
+    /** One plan -> price -> commit step (see the class comment). */
+    void step();
     void publishKvGauges() const;
 
     const StepModel *step_;
@@ -210,7 +219,7 @@ class ContinuousEngine
     bool chunked_ = false;
     bool spec_ = false;
     fault::FaultInjector inj_;
-    std::optional<KvBlockPool> pool_;
+    std::optional<mem::PagedKvCache> pool_;
     std::optional<PrefixCache> prefix_;
 
     double clock_ = 0.0;
@@ -229,7 +238,16 @@ class ContinuousEngine
     double admitKvFactor_ = 1.0;
     unsigned admitMaxBatch_ = 0;
 
+    /** A planned prefill slice: `tokens` prompt tokens of active_[idx]. */
+    struct Slice
+    {
+        std::size_t idx;
+        unsigned tokens;
+        bool forced; //!< starvation-guard slice cut past the budget
+    };
+
     std::vector<ActiveSeq> active_;
+    std::vector<Slice> slices_; //!< this step's plan; reused every step
     std::priority_queue<PendingReq, std::vector<PendingReq>,
                         PendingLater>
         pending_;

@@ -439,73 +439,77 @@ makeGpuStepModel(const hw::GpuSpec &gpu, bool confidential,
                                           dtype);
 }
 
+void
+validate(const ServerConfig &cfg, const char *who)
+{
+    // Features that react at step granularity cannot run on a static
+    // batch; the engine rejects static policy outright on its own.
+    const bool is_static = cfg.policy == BatchPolicy::Static;
+    if (cfg.maxBatch == 0)
+        cllm_fatal(who, ": zero batch capacity");
+    if (!cfg.faults.empty()) {
+        if (is_static)
+            cllm_fatal(who, ": fault injection requires continuous "
+                            "batching");
+        if (cfg.resilience.retryBackoff <= 0.0)
+            cllm_fatal(who, ": fault injection requires a positive "
+                            "retry backoff");
+    }
+    if (cfg.resilience.backoffMultiplier < 1.0)
+        cllm_fatal(who, ": backoff multiplier below 1");
+    if (cfg.resilience.shedOnKvPressure &&
+        (cfg.resilience.shedThreshold <= 0.0 ||
+         cfg.resilience.shedThreshold > 1.0))
+        cllm_fatal(who, ": shed threshold outside (0, 1]");
+    if (cfg.kvMode == KvMode::Paged) {
+        if (is_static)
+            cllm_fatal(who, ": paged KV requires continuous batching");
+        if (cfg.kvBlocks == 0)
+            cllm_fatal(who, ": paged KV requires a bounded pool");
+        if (cfg.paged.minFreeBlocks >= cfg.kvBlocks)
+            cllm_fatal(who, ": paged KV watermark swallows the pool");
+        if (cfg.paged.preempt == KvPreemptPolicy::SwapToEpc &&
+            cfg.paged.kvBytesPerToken <= 0.0)
+            cllm_fatal(who, ": swap preemption requires KV bytes per "
+                            "token");
+    }
+    if (cfg.prefixMode != PrefixMode::Off && cfg.kvMode != KvMode::Paged)
+        cllm_fatal(who, ": prefix caching requires paged KV");
+    if (cfg.chunkedPrefill.mode != ChunkMode::Off) {
+        if (is_static)
+            cllm_fatal(who, ": chunked prefill requires continuous "
+                            "batching");
+        if (cfg.chunkedPrefill.chunkTokens == 0)
+            cllm_fatal(who, ": zero chunk size");
+        if (cfg.chunkedPrefill.stepTokenBudget != 0 &&
+            cfg.chunkedPrefill.stepTokenBudget <
+                cfg.chunkedPrefill.chunkTokens)
+            cllm_fatal(who, ": step token budget below the chunk size");
+        if (cfg.chunkedPrefill.starvationIters == 0)
+            cllm_fatal(who, ": zero starvation-guard window");
+    }
+    if (cfg.specDecode.enabled) {
+        if (is_static)
+            cllm_fatal(who, ": speculative decoding requires continuous "
+                            "batching");
+        if (cfg.specDecode.draftTokens == 0)
+            cllm_fatal(who, ": speculative decoding with zero draft "
+                            "tokens");
+        if (cfg.specDecode.draftCostRatio <= 0.0 ||
+            cfg.specDecode.draftCostRatio >= 1.0)
+            cllm_fatal(who, ": draft cost ratio outside (0, 1)");
+        if (cfg.specDecode.acceptProb < 0.0 ||
+            cfg.specDecode.acceptProb > 1.0)
+            cllm_fatal(who, ": acceptance probability outside [0, 1]");
+    }
+}
+
 Server::Server(std::unique_ptr<StepModel> step, ServerConfig cfg)
     : step_(std::move(step)), cfg_(std::move(cfg))
 {
     if (!step_)
         cllm_fatal("Server requires a step model");
-    if (cfg_.maxBatch == 0)
-        cllm_fatal("Server: zero batch capacity");
-    if (!cfg_.faults.empty()) {
-        if (cfg_.policy == BatchPolicy::Static)
-            cllm_fatal("Server: fault injection requires continuous "
-                       "batching");
-        if (cfg_.resilience.retryBackoff <= 0.0)
-            cllm_fatal("Server: fault injection requires a positive "
-                       "retry backoff");
-    }
-    if (cfg_.resilience.backoffMultiplier < 1.0)
-        cllm_fatal("Server: backoff multiplier below 1");
-    if (cfg_.resilience.shedOnKvPressure &&
-        (cfg_.resilience.shedThreshold <= 0.0 ||
-         cfg_.resilience.shedThreshold > 1.0))
-        cllm_fatal("Server: shed threshold outside (0, 1]");
-    if (cfg_.kvMode == KvMode::Paged) {
-        if (cfg_.policy == BatchPolicy::Static)
-            cllm_fatal("Server: paged KV requires continuous "
-                       "batching");
-        if (cfg_.kvBlocks == 0)
-            cllm_fatal("Server: paged KV requires a bounded pool");
-        if (cfg_.paged.minFreeBlocks >= cfg_.kvBlocks)
-            cllm_fatal("Server: paged KV watermark swallows the "
-                       "pool");
-        if (cfg_.paged.preempt == KvPreemptPolicy::SwapToEpc &&
-            cfg_.paged.kvBytesPerToken <= 0.0)
-            cllm_fatal("Server: swap preemption requires KV bytes "
-                       "per token");
-    }
-    if (cfg_.prefixMode != PrefixMode::Off &&
-        cfg_.kvMode != KvMode::Paged)
-        cllm_fatal("Server: prefix caching requires paged KV");
-    if (cfg_.chunkedPrefill.mode != ChunkMode::Off) {
-        if (cfg_.policy == BatchPolicy::Static)
-            cllm_fatal("Server: chunked prefill requires continuous "
-                       "batching");
-        if (cfg_.chunkedPrefill.chunkTokens == 0)
-            cllm_fatal("Server: zero chunk size");
-        if (cfg_.chunkedPrefill.stepTokenBudget != 0 &&
-            cfg_.chunkedPrefill.stepTokenBudget <
-                cfg_.chunkedPrefill.chunkTokens)
-            cllm_fatal("Server: step token budget below the chunk "
-                       "size");
-        if (cfg_.chunkedPrefill.starvationIters == 0)
-            cllm_fatal("Server: zero starvation-guard window");
-    }
-    if (cfg_.specDecode.enabled) {
-        if (cfg_.policy == BatchPolicy::Static)
-            cllm_fatal("Server: speculative decoding requires "
-                       "continuous batching");
-        if (cfg_.specDecode.draftTokens == 0)
-            cllm_fatal("Server: speculative decoding with zero draft "
-                       "tokens");
-        if (cfg_.specDecode.draftCostRatio <= 0.0 ||
-            cfg_.specDecode.draftCostRatio >= 1.0)
-            cllm_fatal("Server: draft cost ratio outside (0, 1)");
-        if (cfg_.specDecode.acceptProb < 0.0 ||
-            cfg_.specDecode.acceptProb > 1.0)
-            cllm_fatal("Server: acceptance probability outside "
-                       "[0, 1]");
-    }
+    validate(cfg_, "Server");
 }
 
 ServeMetrics

@@ -21,13 +21,13 @@
 #include "fault/schedule.hh"
 #include "hw/cpu.hh"
 #include "mem/epc.hh"
+#include "mem/kv_paged.hh"
 #include "hw/gpu.hh"
 #include "llm/model_config.hh"
 #include "llm/perf_cpu.hh"
 #include "llm/perf_gpu.hh"
 #include "tee/backend.hh"
 #include "tee/session.hh"
-#include "serve/kv_pool.hh"
 #include "util/stats.hh"
 
 namespace cllm::obs {
@@ -439,6 +439,13 @@ struct ServerConfig
     obs::Tracer *tracer = nullptr;
     std::uint32_t traceLane = 0;
 };
+
+/**
+ * Fatal on an inconsistent config, every message prefixed with `who`
+ * (`Server`, `ContinuousEngine`): the one check both the Server facade
+ * and the engine run at construction.
+ */
+void validate(const ServerConfig &cfg, const char *who);
 
 /**
  * Resilience counters threaded through a run (shared between the

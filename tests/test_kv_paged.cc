@@ -480,6 +480,20 @@ TEST(KvValidation, PagedConfigIsValidatedUpFront)
     }
 }
 
+// A request asking for no tokens would still be stepped and emit one
+// (and, under speculation, draft past its admission-checked context),
+// breaking occupancySum == outputTokens; submit refuses it outright.
+TEST(KvValidation, ZeroOutputLengthIsRejectedAtSubmit)
+{
+    auto step = cpuModel(tee::makeTdx());
+    ContinuousEngine eng(*step, pagedConfig(64));
+    Request r;
+    r.id = 3;
+    r.inLen = 32;
+    r.outLen = 0;
+    EXPECT_DEATH(eng.submit(&r, 0.0), "zero output length");
+}
+
 // Pins the preemption-heavy burst timeline. Regenerate (only after
 // an intentional scheduler change) with CLLM_REGEN_GOLDEN=1.
 TEST(KvGolden, SmallPagedTimelinePinned)
