@@ -138,8 +138,9 @@ TEST(FaultSchedule, SortedAndWithinHorizon)
     for (std::size_t i = 0; i < s.size(); ++i) {
         EXPECT_GE(s.events()[i].time, 0.0);
         EXPECT_LT(s.events()[i].time, 400.0);
-        if (i)
+        if (i) {
             EXPECT_GE(s.events()[i].time, s.events()[i - 1].time);
+        }
     }
 }
 
@@ -161,11 +162,15 @@ TEST(FaultSchedule, EnablingOneProcessDoesNotPerturbOthers)
     FaultScheduleConfig both = only_restart;
     both.attestFail = {1.0 / 30.0, 2.0, 0.0};
 
+    // Bind each schedule first: a range-for over a temporary's
+    // events() would outlive the schedule that owns them.
+    const auto sched_a = FaultSchedule::generate(only_restart);
+    const auto sched_b = FaultSchedule::generate(both);
     std::vector<double> restarts_a, restarts_b;
-    for (const auto &e : FaultSchedule::generate(only_restart).events())
+    for (const auto &e : sched_a.events())
         if (e.kind == FaultKind::EnclaveRestart)
             restarts_a.push_back(e.time);
-    for (const auto &e : FaultSchedule::generate(both).events())
+    for (const auto &e : sched_b.events())
         if (e.kind == FaultKind::EnclaveRestart)
             restarts_b.push_back(e.time);
     EXPECT_EQ(restarts_a, restarts_b);

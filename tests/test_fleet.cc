@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -56,6 +59,37 @@ faultyCpuTemplate()
     return t;
 }
 
+/**
+ * Every serving feature at once on the faulty TDX template: paged KV
+ * over a pool tight enough to preempt, a per-tenant prefix cache,
+ * decode-priority chunked prefill and k=4 speculation.
+ */
+NodeTemplate
+allFeaturesCpuTemplate()
+{
+    NodeTemplate t = faultyCpuTemplate();
+    bench::applyPagedKv(t.server, llm::llama2_7b());
+    t.server.kvBlocks = 640;
+    t.server.prefixMode = serve::PrefixMode::PerTenant;
+    t.server.chunkedPrefill.mode = serve::ChunkMode::DecodePriority;
+    t.server.chunkedPrefill.chunkTokens = 128;
+    t.server.specDecode.enabled = true;
+    t.server.specDecode.draftTokens = 4;
+    return t;
+}
+
+/** Three-node least-outstanding fleet of one template. */
+FleetConfig
+threeNodeFleetConfig()
+{
+    FleetConfig cfg;
+    cfg.seed = 42;
+    cfg.policy = RouterPolicy::LeastOutstanding;
+    cfg.ttftSlo = 2.0;
+    cfg.initialNodes = {0, 0, 0};
+    return cfg;
+}
+
 /** The canonical mixed fleet the determinism and golden tests run:
  *  faulty TDX nodes + one cGPU spill target, cost-aware routing,
  *  autoscaler adding TDX nodes on queue pressure. */
@@ -87,6 +121,15 @@ burstyTrace(double rate = 2.0, std::size_t n = 300)
     load.arrivalRate = rate;
     load.numRequests = n;
     return serve::generateWorkload(load);
+}
+
+/** A bursty trace whose prompts share per-tenant system prompts. */
+std::vector<serve::Request>
+sharedPrefixTrace(double rate, std::size_t n)
+{
+    std::vector<serve::Request> trace = burstyTrace(rate, n);
+    serve::applySharedPrefixMix(trace, serve::SharedPrefixMix{});
+    return trace;
 }
 
 std::string
@@ -503,4 +546,125 @@ TEST(FleetTracing, ExportedTraceBitIdentical1v8Threads)
         return os.str();
     };
     EXPECT_EQ(exportTrace(1), exportTrace(8));
+}
+
+// ---------------------------------------------------------------------
+// JSON key sequence
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Every object key path in the JSON text `js`, in the order each path
+ * is first emitted: nested keys join with '.', array elements read
+ * as "[]" (so "nodes[].serve.kv_swap_s").
+ */
+std::vector<std::string>
+keyPaths(const std::string &js)
+{
+    std::vector<std::string> out;
+    // Path of each open container, and whether it is an array.
+    std::vector<std::pair<std::string, bool>> open;
+    std::string last; // path of the last key read
+    for (std::size_t i = 0; i < js.size(); ++i) {
+        const char c = js[i];
+        if (c == '"') {
+            std::string s;
+            for (++i; js[i] != '"'; ++i) {
+                if (js[i] == '\\')
+                    ++i;
+                s += js[i];
+            }
+            std::size_t j = i + 1;
+            while (j < js.size() && std::isspace(
+                                        static_cast<unsigned char>(js[j])))
+                ++j;
+            if (j < js.size() && js[j] == ':') {
+                const std::string &base = open.back().first;
+                last = base.empty() ? s : base + "." + s;
+                if (std::find(out.begin(), out.end(), last) == out.end())
+                    out.push_back(last);
+            }
+        } else if (c == '{' || c == '[') {
+            std::string path = open.empty()       ? std::string()
+                               : open.back().second ? open.back().first
+                                                    : last;
+            if (c == '[')
+                path += "[]";
+            open.emplace_back(path, c == '[');
+        } else if (c == '}' || c == ']') {
+            open.pop_back();
+        }
+    }
+    return out;
+}
+
+void
+appendKeyList(std::ostringstream &os, const std::string &name,
+              const std::vector<std::string> &keys, bool last)
+{
+    os << "  \"" << name << "\": [\n";
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        os << "    \"" << keys[i] << "\""
+           << (i + 1 == keys.size() ? "\n" : ",\n");
+    os << "  ]" << (last ? "\n" : ",\n");
+}
+
+} // namespace
+
+// The ordered key list writeMetrics and writeFleetMetrics emit, for a
+// features-off run, a spec-only run (writeMetrics' ITL fallback) and
+// an all-features run with faults. Keys only, never values, so the
+// golden pins the JSON layout without depending on libm.
+TEST(MetricsJsonKeys, KeySequenceMatchesGolden)
+{
+    std::ostringstream got;
+    got << "{\n";
+
+    serve::WorkloadConfig load;
+    load.arrivalRate = 1.0;
+    load.numRequests = 120;
+    load.meanInLen = 512;
+    load.meanOutLen = 128;
+    load.seed = 61;
+    std::vector<serve::Request> trace = serve::generateWorkload(load);
+    serve::applySharedPrefixMix(trace, serve::SharedPrefixMix{});
+    auto serveKeys = [&](serve::ServerConfig cfg) {
+        serve::Server server(cpuTdxNode().makeStep(), std::move(cfg));
+        return keyPaths(serveJson(server.run(trace)));
+    };
+    appendKeyList(got, "serve_off", serveKeys(cpuTdxNode().server),
+                  false);
+    serve::ServerConfig spec = cpuTdxNode().server;
+    spec.specDecode.enabled = true;
+    spec.specDecode.draftTokens = 4;
+    appendKeyList(got, "serve_spec_only", serveKeys(spec), false);
+    serve::ServerConfig all = allFeaturesCpuTemplate().server;
+    fault::FaultScheduleConfig fs = faultConfig();
+    fs.seed = 42;
+    all.faults = fault::FaultSchedule::generate(fs);
+    appendKeyList(got, "serve_all", serveKeys(all), false);
+
+    const auto fleet_trace = sharedPrefixTrace(1.5, 200);
+    FleetSimulator off(threeNodeFleetConfig(), {cpuTdxNode()});
+    appendKeyList(got, "fleet_off",
+                  keyPaths(fleetJson(off.run(fleet_trace))), false);
+    FleetSimulator on(threeNodeFleetConfig(), {allFeaturesCpuTemplate()});
+    appendKeyList(got, "fleet_all",
+                  keyPaths(fleetJson(on.run(fleet_trace))), true);
+    got << "}\n";
+
+    const std::string path =
+        std::string(CLLM_GOLDEN_DIR) + "/metrics_json_keys.json";
+    if (cllm::testing::regenRequested()) {
+        std::ofstream(path) << got.str();
+        GTEST_SKIP() << "regenerated " << path;
+    }
+    std::ifstream is(path);
+    ASSERT_TRUE(is.good())
+        << "missing " << path
+        << " (run with CLLM_REGEN_GOLDEN=1 to create)";
+    std::ostringstream want;
+    want << is.rdbuf();
+    EXPECT_EQ(got.str(), want.str());
 }

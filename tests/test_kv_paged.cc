@@ -290,9 +290,10 @@ TEST(KvDifferential, TightPoolPagedRunsDenserAndFinishesSooner)
 TEST(KvDifferential, NeverFittingRequestsShedIdentically)
 {
     std::vector<Request> trace(3);
-    trace[0] = {0, 0.0, 100, 50};
-    trace[1] = {1, 0.1, 400, 200}; // 600 tokens vs 512-token pool
-    trace[2] = {2, 0.2, 64, 32};
+    trace[0] = {0, 0.0, 100, 50, 0, {}, -1.0, -1.0};
+    // 600 tokens vs 512-token pool
+    trace[1] = {1, 0.1, 400, 200, 0, {}, -1.0, -1.0};
+    trace[2] = {2, 0.2, 64, 32, 0, {}, -1.0, -1.0};
 
     for (const bool paged : {false, true}) {
         ServerConfig cfg =
@@ -316,8 +317,10 @@ TEST(KvDifferential, NeverFittingRequestsShedIdentically)
 TEST(KvDifferential, WatermarkTightensTheAdmissibleSet)
 {
     std::vector<Request> trace(2);
-    trace[0] = {0, 0.0, 20, 10}; // 2 blocks + 4 headroom: fits
-    trace[1] = {1, 0.1, 40, 30}; // 5 blocks + 4 headroom: never fits
+    // 2 blocks + 4 headroom: fits
+    trace[0] = {0, 0.0, 20, 10, 0, {}, -1.0, -1.0};
+    // 5 blocks + 4 headroom: never fits
+    trace[1] = {1, 0.1, 40, 30, 0, {}, -1.0, -1.0};
 
     ServerConfig cfg = pagedConfig(8);
     cfg.paged.minFreeBlocks = 4;

@@ -3,14 +3,17 @@
  * Tests for cllm::obs: registry merge determinism under
  * `par::parallelFor` (1 vs 8 threads), histogram summary edge cases,
  * span nesting and ordering, async lifecycle tracks, wall-clock ring
- * buffers, and a byte-golden over the Chrome trace exporter
- * (`CLLM_REGEN_GOLDEN=1` regenerates `tests/golden/trace_small.json`).
+ * buffers, a byte-golden over the Chrome trace exporter
+ * (`CLLM_REGEN_GOLDEN=1` regenerates `tests/golden/trace_small.json`),
+ * and the serving engine's lazy counter registration.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "par/pool.hh"
+#include "serve/serving.hh"
 #include "util/json.hh"
 
 using namespace cllm;
@@ -437,4 +441,124 @@ TEST(ChromeExport, OutputPathPrecedence)
               "/tmp/env.trace.json");
     ::unsetenv("CLLM_TRACE_OUT");
     EXPECT_EQ(traceOutputPath("", "fallback.json"), "fallback.json");
+}
+
+// ------------------------------------------------ lazy registration
+
+namespace {
+
+/** The "counters" section of the global registry's snapshot. */
+std::string
+globalCounters()
+{
+    const std::string s = snapshotJson(Registry::global());
+    const std::size_t b = s.find("\"counters\"");
+    return s.substr(b, s.find("\"gauges\"") - b);
+}
+
+bool
+hasCounter(const std::string &counters, const std::string &name)
+{
+    return counters.find("\"" + name + "\"") != std::string::npos;
+}
+
+/**
+ * Serve a small shared-prefix trace under `cfg` and report, as text,
+ * every way the registry's feature counters break the lazy rule: a
+ * counter in `absent` that is registered, or one in `present` that is
+ * not. Empty means the rule held.
+ */
+std::string
+lazyViolations(const serve::ServerConfig &cfg,
+               const std::vector<std::string> &present,
+               const std::vector<std::string> &absent)
+{
+    serve::WorkloadConfig load;
+    load.arrivalRate = 2.0;
+    load.numRequests = 40;
+    load.meanInLen = 256;
+    load.meanOutLen = 32;
+    load.seed = 5;
+    std::vector<serve::Request> trace = serve::generateWorkload(load);
+    serve::applySharedPrefixMix(trace, serve::SharedPrefixMix{});
+    const hw::CpuSpec cpu = hw::emr2();
+    llm::RunParams p;
+    p.inLen = 1024;
+    p.outLen = 256;
+    p.batch = 32;
+    p.sockets = 1;
+    p.cores = cpu.coresPerSocket;
+    serve::Server server(
+        serve::makeCpuStepModel(
+            cpu, std::shared_ptr<const tee::TeeBackend>(tee::makeTdx()),
+            llm::llama2_7b(), p),
+        cfg);
+    server.run(trace);
+
+    const std::string counters = globalCounters();
+    std::string out;
+    for (const std::string &name : present)
+        if (!hasCounter(counters, name))
+            out += "missing " + name + "\n";
+    for (const std::string &prefix : absent)
+        if (counters.find("\"" + prefix) != std::string::npos)
+            out += "unexpected " + prefix + "*\n";
+    return out;
+}
+
+/** The whole lazy-registration walk, run in a fresh process. */
+void
+lazyRegistrationWalk()
+{
+    serve::ServerConfig cfg;
+    cfg.kvBlocks = 4096;
+    cfg.kvBlockTokens = 16;
+    cfg.kvMode = serve::KvMode::Paged;
+    cfg.paged.kvBytesPerToken =
+        llm::llama2_7b().kvBytesPerToken(hw::Dtype::Bf16);
+
+    // Features off: none of their counters may exist.
+    std::string bad = lazyViolations(
+        cfg, {"serve.prefills", "serve.decode_steps"},
+        {"serve.prefix_", "serve.chunk_", "serve.spec_"});
+    // Each feature, switched on in turn, registers its own counters
+    // and leaves the features still off unregistered.
+    cfg.prefixMode = serve::PrefixMode::PerTenant;
+    bad += lazyViolations(cfg,
+                          {"serve.prefix_hits", "serve.prefix_misses"},
+                          {"serve.chunk_", "serve.spec_"});
+    cfg.chunkedPrefill.mode = serve::ChunkMode::DecodePriority;
+    cfg.chunkedPrefill.chunkTokens = 64;
+    bad += lazyViolations(
+        cfg, {"serve.chunk_slices", "serve.chunk_prefill_tokens"},
+        {"serve.spec_"});
+    cfg.specDecode.enabled = true;
+    cfg.specDecode.draftTokens = 4;
+    bad += lazyViolations(
+        cfg,
+        {"serve.spec_verify_steps", "serve.spec_draft_tokens",
+         "serve.spec_accepted_tokens", "serve.spec_rejected_tokens",
+         "serve.spec_bonus_tokens"},
+        {});
+    if (!bad.empty()) {
+        std::fprintf(stderr, "%s", bad.c_str());
+        std::exit(1);
+    }
+    std::fprintf(stderr, "lazy registration holds\n");
+    std::exit(0);
+}
+
+} // namespace
+
+// Feature counters enter the process-wide registry only when their
+// feature first touches them, so a features-off run's registry
+// snapshot carries no prefix, chunk or spec names. The registry never
+// forgets a name, so the walk runs in a re-executed child (threadsafe
+// death-test style) that starts from an empty registry even when
+// every test of this binary shares one process.
+TEST(LazyRegistration, FeatureCountersAppearOnlyWhenFeatureRuns)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(lazyRegistrationWalk(), ::testing::ExitedWithCode(0),
+                "lazy registration holds");
 }

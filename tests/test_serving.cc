@@ -131,8 +131,9 @@ TEST(Workload, BurstyIsDeterministicAndDistinctFromPoisson)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].arrival, b[i].arrival);
-        if (i)
+        if (i) {
             EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+        }
     }
     WorkloadConfig p = w;
     p.process = ArrivalProcess::Poisson;
@@ -543,9 +544,10 @@ TEST(ServerResilience, TimeoutDropsLateRequestsUnderOverload)
     EXPECT_LT(m.availability, 1.0);
     // Every completed request met its deadline at admission time.
     for (const Request &r : annotated) {
-        if (r.finish >= 0.0)
+        if (r.finish >= 0.0) {
             EXPECT_LE(r.firstToken - r.arrival, 30.0 + 60.0)
                 << "request " << r.id;
+        }
     }
 }
 
