@@ -123,16 +123,7 @@ Node::billedSeconds(double fleet_end) const
 serve::ServeMetrics
 Node::metrics() const
 {
-    serve::ServeMetrics m = serve::finalizeRequests(
-        engine_->submitted(), engine_->clock(),
-        engine_->occupancySum(), engine_->steps(), engine_->tally(),
-        cfg_.ttftSlo, cfg_.tpotSlo);
-    m.kvUtilizationPeak = engine_->kvPeak();
-    m.kvUtilizationMean = engine_->kvUtilizationMean();
-    m.peakBatchOccupancy =
-        static_cast<double>(engine_->peakBatch());
-    m.faultTimeline = engine_->timeline();
-    return m;
+    return engine_->metrics();
 }
 
 } // namespace cllm::fleet

@@ -36,6 +36,14 @@ Counter::reset()
         s.v.store(0, std::memory_order_relaxed);
 }
 
+Counter &
+LazyCounter::registerNow()
+{
+    Counter &c = Registry::global().counter(name_);
+    c_.store(&c, std::memory_order_release);
+    return c;
+}
+
 // -------------------------------------------------------------- Histogram
 
 Histogram::Histogram(double lo, double hi, unsigned buckets)

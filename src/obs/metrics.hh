@@ -19,7 +19,8 @@
  * per-thread shards (relaxed atomic adds, no sharing between
  * threads); histogram inserts are one log2 plus one relaxed add.
  * Callers cache the instrument reference once (function-local
- * `static auto &`) so the name lookup happens a single time.
+ * `static auto &`, or a `LazyCounter`) so the name lookup happens a
+ * single time.
  */
 
 #ifndef CLLM_OBS_METRICS_HH
@@ -188,6 +189,37 @@ class Registry
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+
+/**
+ * A named counter of the global registry that enters the registry on
+ * its first `add`/`inc`, never before. Constant-initialised, so a
+ * namespace-scope table of them costs nothing at startup and a name
+ * whose code path never runs never shows up in a snapshot. After the
+ * first event the hot path is one acquire load and a branch before
+ * the counter's own relaxed add; the registry mutex is taken only on
+ * that first event (concurrent first events resolve to the same
+ * instrument).
+ */
+class LazyCounter
+{
+  public:
+    constexpr explicit LazyCounter(const char *name) : name_(name) {}
+
+    void
+    add(std::uint64_t n)
+    {
+        Counter *c = c_.load(std::memory_order_acquire);
+        (c ? *c : registerNow()).add(n);
+    }
+
+    void inc() { add(1); }
+
+  private:
+    Counter &registerNow();
+
+    const char *name_;
+    std::atomic<Counter *> c_{nullptr};
 };
 
 } // namespace cllm::obs

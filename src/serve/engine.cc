@@ -17,159 +17,32 @@ namespace {
 /** Request-lifecycle async category shared by every engine event. */
 constexpr const char *kReqCat = "request";
 
-/** Hot counters shared by every engine in the process. */
-obs::Counter &
-prefillCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.prefills");
-    return c;
-}
-
-obs::Counter &
-decodeStepCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.decode_steps");
-    return c;
-}
-
-obs::Counter &
-tokenCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.output_tokens");
-    return c;
-}
-
-obs::Counter &
-preemptCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.kv_preempts");
-    return c;
-}
-
-obs::Counter &
-swapOutCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.kv_swap_outs");
-    return c;
-}
-
-obs::Counter &
-swapInCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.kv_swap_ins");
-    return c;
-}
-
-// Prefix-cache counters are only ever touched on prefix-enabled
-// paths, so a prefixMode=off run never registers them and the obs
-// registry snapshot stays byte-identical to older builds.
-obs::Counter &
-prefixHitCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.prefix_hits");
-    return c;
-}
-
-obs::Counter &
-prefixMissCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.prefix_misses");
-    return c;
-}
-
-obs::Counter &
-prefixEvictCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.prefix_evicted_blocks");
-    return c;
-}
-
-// Chunked-prefill counters follow the same lazy-registration rule:
-// only chunked paths ever touch them, so an off-mode run's registry
-// snapshot stays byte-identical to older builds.
-obs::Counter &
-chunkSliceCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.chunk_slices");
-    return c;
-}
-
-obs::Counter &
-chunkTokenCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.chunk_prefill_tokens");
-    return c;
-}
-
-obs::Counter &
-mixedStepCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.chunk_mixed_steps");
-    return c;
-}
-
-obs::Counter &
-starvationCounter()
-{
-    static obs::Counter &c = obs::Registry::global().counter(
-        "serve.chunk_starvation_kicks");
-    return c;
-}
-
-// Speculative-decoding counters are lazy for the same reason: a
-// specDecode=off run never registers them, keeping its registry
-// snapshot byte-identical to older builds.
-obs::Counter &
-specVerifyCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.spec_verify_steps");
-    return c;
-}
-
-obs::Counter &
-specDraftCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.spec_draft_tokens");
-    return c;
-}
-
-obs::Counter &
-specAcceptCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.spec_accepted_tokens");
-    return c;
-}
-
-obs::Counter &
-specRejectCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.spec_rejected_tokens");
-    return c;
-}
-
-obs::Counter &
-specBonusCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("serve.spec_bonus_tokens");
-    return c;
-}
+/**
+ * Hot counters shared by every engine in the process. Each enters the
+ * obs registry on its first event, so a run whose features are off
+ * never registers the prefix, chunk or spec names and its registry
+ * snapshot stays byte-identical to builds that predate them.
+ */
+namespace ctr {
+constinit obs::LazyCounter prefills{"serve.prefills"};
+constinit obs::LazyCounter decodeSteps{"serve.decode_steps"};
+constinit obs::LazyCounter tokens{"serve.output_tokens"};
+constinit obs::LazyCounter preempts{"serve.kv_preempts"};
+constinit obs::LazyCounter swapOuts{"serve.kv_swap_outs"};
+constinit obs::LazyCounter swapIns{"serve.kv_swap_ins"};
+constinit obs::LazyCounter prefixHits{"serve.prefix_hits"};
+constinit obs::LazyCounter prefixMisses{"serve.prefix_misses"};
+constinit obs::LazyCounter prefixEvicted{"serve.prefix_evicted_blocks"};
+constinit obs::LazyCounter chunkSlices{"serve.chunk_slices"};
+constinit obs::LazyCounter chunkTokens{"serve.chunk_prefill_tokens"};
+constinit obs::LazyCounter mixedSteps{"serve.chunk_mixed_steps"};
+constinit obs::LazyCounter starvation{"serve.chunk_starvation_kicks"};
+constinit obs::LazyCounter specVerify{"serve.spec_verify_steps"};
+constinit obs::LazyCounter specDraft{"serve.spec_draft_tokens"};
+constinit obs::LazyCounter specAccept{"serve.spec_accepted_tokens"};
+constinit obs::LazyCounter specReject{"serve.spec_rejected_tokens"};
+constinit obs::LazyCounter specBonus{"serve.spec_bonus_tokens"};
+} // namespace ctr
 
 /**
  * Whether the target accepts draft position `pos` (0-based output
@@ -365,7 +238,7 @@ ContinuousEngine::admitCheck(const Request &r, unsigned produced,
         const std::uint64_t freed = prefix_->evictToFree(want, clock_);
         if (freed == 0)
             return false;
-        prefixEvictCounter().add(freed);
+        ctr::prefixEvicted.add(freed);
         syncPrefixTally();
         if (obs::Tracer *t = simTracer(cfg_))
             t->instant(cfg_.traceLane, "prefix.evict", clock_,
@@ -412,7 +285,7 @@ ContinuousEngine::preemptActive(std::size_t idx)
                      victim.req->inLen + victim.produced;
     pool_->release(victim.req->id);
     ++tally_.kvPreemptions;
-    preemptCounter().inc();
+    ctr::preempts.inc();
     obs::Tracer *tr = simTracer(cfg_);
     if (tr)
         tr->instant(cfg_.traceLane, "kv.preempt", clock_,
@@ -436,7 +309,7 @@ ContinuousEngine::preemptActive(std::size_t idx)
         clock_ += sec;
         tally_.kvSwapSeconds += sec;
         ++tally_.kvSwapOuts;
-        swapOutCounter().inc();
+        ctr::swapOuts.inc();
         swapped = true;
         if (tr)
             tr->complete(
@@ -485,7 +358,7 @@ ContinuousEngine::growPaged()
                 const std::uint64_t freed =
                     prefix_->evictToFree(1, clock_);
                 if (freed > 0) {
-                    prefixEvictCounter().add(freed);
+                    ctr::prefixEvicted.add(freed);
                     syncPrefixTally();
                     continue;
                 }
@@ -686,9 +559,9 @@ ContinuousEngine::iterate(double admit_horizon)
                 pm = prefix_->commitMatch(r->tenant, r->promptTokens,
                                           clock_);
                 if (pm.tokens > 0)
-                    prefixHitCounter().inc();
+                    ctr::prefixHits.inc();
                 else
-                    prefixMissCounter().inc();
+                    ctr::prefixMisses.inc();
                 ok = pm.tokens > 0
                          ? pool_->addSequenceWithPrefix(
                                r->id, resident, pm.blocks, pm.tokens)
@@ -752,13 +625,13 @@ ContinuousEngine::iterate(double admit_horizon)
         if (paged && p.swapped) {
             tally_.kvSwapSeconds += pf;
             ++tally_.kvSwapIns;
-            swapInCounter().inc();
+            ctr::swapIns.inc();
             if (tr)
                 tr->complete(lane, "kv.swap", admit_at, clock_,
                              {{"req", static_cast<double>(r->id)},
                               {"dir", 1.0}});
         } else if (!chunk_defer) {
-            prefillCounter().inc();
+            ctr::prefills.inc();
             if (tr)
                 tr->complete(
                     lane, "prefill", admit_at, clock_,
@@ -987,11 +860,11 @@ ContinuousEngine::step()
         tally_.prefillTokensComputed += s.tokens;
         ++tally_.chunkSlices;
         tally_.chunkPrefillTokens += s.tokens;
-        chunkSliceCounter().inc();
-        chunkTokenCounter().add(s.tokens);
+        ctr::chunkSlices.inc();
+        ctr::chunkTokens.add(s.tokens);
         if (s.forced) {
             ++tally_.starvationKicks;
-            starvationCounter().inc();
+            ctr::starvation.inc();
         }
     }
     clock_ = t;
@@ -999,14 +872,14 @@ ContinuousEngine::step()
         std::max(tally_.maxStepPrefillTokens, step_prefill_tokens);
     if (ndecode && !slices_.empty()) {
         ++tally_.mixedSteps;
-        mixedStepCounter().inc();
+        ctr::mixedSteps.inc();
     }
     if (ndecode) {
         ++tally_.decodeSteps;
-        decodeStepCounter().inc();
+        ctr::decodeSteps.inc();
         if (spec_) {
             ++tally_.specVerifySteps;
-            specVerifyCounter().inc();
+            ctr::specVerify.inc();
         }
     }
     maxActive_ = std::max(maxActive_, active_.size());
@@ -1025,7 +898,7 @@ ContinuousEngine::step()
             r->firstToken = clock_;
             a.lastEmit = clock_;
         }
-        prefillCounter().inc();
+        ctr::prefills.inc();
         if (prefix_ && !r->promptTokens.empty()) {
             // The prompt's KV is fully computed only now — cache it.
             prefix_->insert(r->tenant, r->promptTokens,
@@ -1092,7 +965,7 @@ ContinuousEngine::step()
         const double gap =
             (clock_ - it->lastEmit) / static_cast<double>(emit);
         for (unsigned j = 0; j < emit; ++j)
-            tally_.itlSamples.push_back(gap);
+            itlSamples_.push_back(gap);
         it->lastEmit = clock_;
         it->produced += emit;
         emitted_total += emit;
@@ -1118,16 +991,16 @@ ContinuousEngine::step()
     }
     occupancySum_ += static_cast<double>(emitted_total);
     if (ndecode)
-        tokenCounter().add(emitted_total);
+        ctr::tokens.add(emitted_total);
     if (spec_ && ndecode) {
         tally_.specDraftTokens += drafted;
         tally_.specAccepted += accepted_total;
         tally_.specRejected += reject_total;
         tally_.specBonus += bonus_total;
-        specDraftCounter().add(drafted);
-        specAcceptCounter().add(accepted_total);
-        specRejectCounter().add(reject_total);
-        specBonusCounter().add(bonus_total);
+        ctr::specDraft.add(drafted);
+        ctr::specAccept.add(accepted_total);
+        ctr::specReject.add(reject_total);
+        ctr::specBonus.add(bonus_total);
     }
     if (pool_) {
         publishKvGauges();
@@ -1138,12 +1011,27 @@ ContinuousEngine::step()
 }
 
 ServeMetrics
+ContinuousEngine::metrics() const
+{
+    ServeMetrics m =
+        finalizeRequests(submitted_, clock_, occupancySum_, steps_,
+                         tally_, itlSamples_, cfg_.ttftSlo, cfg_.tpotSlo);
+    m.kvUtilizationPeak = kvPeak_;
+    m.kvUtilizationMean = kvUtilizationMean();
+    m.peakBatchOccupancy = static_cast<double>(maxActive_);
+    m.faultTimeline = inj_.timeline();
+    return m;
+}
+
+ServeMetrics
 finalizeRequests(const std::vector<const Request *> &reqs,
                  double makespan, double occupancy_sum,
                  std::size_t steps, const ServeTally &tally,
+                 const std::vector<double> &itl_samples,
                  double ttft_slo, double tpot_slo)
 {
     ServeMetrics m;
+    static_cast<ServeTally &>(m) = tally;
     m.makespan = makespan;
     std::vector<double> ttft, tpot;
     std::uint64_t tokens = 0;
@@ -1186,40 +1074,8 @@ finalizeRequests(const std::vector<const Request *> &reqs,
                          ? static_cast<double>(m.completed) /
                                static_cast<double>(m.submitted)
                          : 0.0;
-    m.retries = tally.retries;
-    m.shed = tally.shed;
-    m.timedOut = tally.timedOut;
-    m.failed = tally.failed;
-    m.restarts = tally.restarts;
-    m.attestRejections = tally.attestRejections;
-    m.faultDowntime = tally.faultDowntime;
-    m.kvPreemptions = tally.kvPreemptions;
-    m.kvSwapOuts = tally.kvSwapOuts;
-    m.kvSwapIns = tally.kvSwapIns;
-    m.kvSwapSeconds = tally.kvSwapSeconds;
-    m.prefixEnabled = tally.prefixEnabled;
-    m.prefixHits = tally.prefixHits;
-    m.prefixMisses = tally.prefixMisses;
-    m.prefixCachedTokens = tally.prefixCachedTokens;
-    m.prefillTokensComputed = tally.prefillTokensComputed;
-    m.prefixEvictions = tally.prefixEvictions;
-    m.prefixEvictedBlocks = tally.prefixEvictedBlocks;
-    m.prefixPinnedPeak = tally.prefixPinnedPeak;
-    m.chunkedEnabled = tally.chunkedEnabled;
-    if (!tally.itlSamples.empty())
-        m.itl = summarize(tally.itlSamples, 0.0);
-    m.chunkSlices = tally.chunkSlices;
-    m.chunkPrefillTokens = tally.chunkPrefillTokens;
-    m.mixedSteps = tally.mixedSteps;
-    m.starvationKicks = tally.starvationKicks;
-    m.maxStepPrefillTokens = tally.maxStepPrefillTokens;
-    m.decodeSteps = tally.decodeSteps;
-    m.specEnabled = tally.specEnabled;
-    m.specVerifySteps = tally.specVerifySteps;
-    m.specDraftTokens = tally.specDraftTokens;
-    m.specAccepted = tally.specAccepted;
-    m.specRejected = tally.specRejected;
-    m.specBonus = tally.specBonus;
+    if (!itl_samples.empty())
+        m.itl = summarize(itl_samples, 0.0);
     return m;
 }
 

@@ -107,7 +107,18 @@ class ContinuousEngine
     }
 
     // -- Run outcome --------------------------------------------------
+    /**
+     * The run's serving metrics over every request submitted so far
+     * (the one place a ServeMetrics is built from an engine).
+     */
+    ServeMetrics metrics() const;
     const ServeTally &tally() const { return tally_; }
+    /**
+     * Every delivered token's inter-token gap [s], in emission order.
+     * Tracked in every mode (the differential tests compare ITL
+     * across modes); never copied into a ServeMetrics.
+     */
+    const std::vector<double> &itlSamples() const { return itlSamples_; }
     double occupancySum() const { return occupancySum_; }
     std::size_t steps() const { return steps_; }
     double kvPeak() const { return kvPeak_; }
@@ -229,6 +240,7 @@ class ContinuousEngine
     std::size_t maxActive_ = 0;
     std::size_t steps_ = 0;
     ServeTally tally_{};
+    std::vector<double> itlSamples_;
 
     // Admission-pause state: a horizon pause must resume the SAME
     // loop iteration, so the fault snapshot taken at iteration start
@@ -256,15 +268,17 @@ class ContinuousEngine
 };
 
 /**
- * Build a ServeMetrics from annotated requests — the shared tail of a
- * Server run and a fleet node. Panics only when a non-empty request
- * set completed nothing without any being dropped (a simulation bug).
+ * Build a ServeMetrics from annotated requests, the run's counters and
+ * its ITL samples — the shared tail of a Server run, a fleet node and
+ * the fleet rollup. Panics only when a non-empty request set completed
+ * nothing without any being dropped (a simulation bug).
  */
 ServeMetrics finalizeRequests(const std::vector<const Request *> &reqs,
                               double makespan, double occupancy_sum,
                               std::size_t steps,
-                              const ServeTally &tally, double ttft_slo,
-                              double tpot_slo);
+                              const ServeTally &tally,
+                              const std::vector<double> &itl_samples,
+                              double ttft_slo, double tpot_slo);
 
 } // namespace cllm::serve
 

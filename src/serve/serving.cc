@@ -585,8 +585,13 @@ Server::runStatic(std::vector<Request> &trace) const
             }
         }
     }
+    std::vector<const Request *> reqs;
+    reqs.reserve(trace.size());
+    for (const Request &r : trace)
+        reqs.push_back(&r);
     ServeMetrics m =
-        finalize(trace, clock, occupancy_sum, steps, ServeTally{});
+        finalizeRequests(reqs, clock, occupancy_sum, steps, ServeTally{},
+                         {}, cfg_.ttftSlo, cfg_.tpotSlo);
     m.peakBatchOccupancy = peak_active;
     return m;
 }
@@ -603,28 +608,95 @@ Server::runContinuous(std::vector<Request> &trace) const
         eng.submit(&r, r.arrival, 0);
     while (!eng.idle())
         eng.iterate();
-    ServeMetrics m = finalize(trace, eng.clock(), eng.occupancySum(),
-                              eng.steps(), eng.tally());
-    m.kvUtilizationPeak = eng.kvPeak();
-    m.kvUtilizationMean = eng.kvUtilizationMean();
-    m.peakBatchOccupancy = static_cast<double>(eng.peakBatch());
-    m.faultTimeline = eng.timeline();
-    return m;
+    return eng.metrics();
 }
 
-ServeMetrics
-Server::finalize(const std::vector<Request> &trace, double makespan,
-                 double occupancy_sum, std::size_t steps,
-                 const ServeTally &tally) const
+ServeTally &
+ServeTally::operator+=(const ServeTally &o)
 {
-    std::vector<const Request *> reqs;
-    reqs.reserve(trace.size());
-    for (const Request &r : trace)
-        reqs.push_back(&r);
-    return finalizeRequests(reqs, makespan, occupancy_sum, steps,
-                            tally, cfg_.ttftSlo, cfg_.tpotSlo);
+    retries += o.retries;
+    shed += o.shed;
+    timedOut += o.timedOut;
+    failed += o.failed;
+    restarts += o.restarts;
+    attestRejections += o.attestRejections;
+    faultDowntime += o.faultDowntime;
+    kvPreemptions += o.kvPreemptions;
+    kvSwapOuts += o.kvSwapOuts;
+    kvSwapIns += o.kvSwapIns;
+    kvSwapSeconds += o.kvSwapSeconds;
+    prefixEnabled = prefixEnabled || o.prefixEnabled;
+    prefixHits += o.prefixHits;
+    prefixMisses += o.prefixMisses;
+    prefixCachedTokens += o.prefixCachedTokens;
+    prefillTokensComputed += o.prefillTokensComputed;
+    prefixEvictions += o.prefixEvictions;
+    prefixEvictedBlocks += o.prefixEvictedBlocks;
+    prefixInsertedBlocks += o.prefixInsertedBlocks;
+    prefixPinnedPeak = std::max(prefixPinnedPeak, o.prefixPinnedPeak);
+    chunkedEnabled = chunkedEnabled || o.chunkedEnabled;
+    chunkSlices += o.chunkSlices;
+    chunkPrefillTokens += o.chunkPrefillTokens;
+    mixedSteps += o.mixedSteps;
+    starvationKicks += o.starvationKicks;
+    maxStepPrefillTokens =
+        std::max(maxStepPrefillTokens, o.maxStepPrefillTokens);
+    decodeSteps += o.decodeSteps;
+    specEnabled = specEnabled || o.specEnabled;
+    specVerifySteps += o.specVerifySteps;
+    specDraftTokens += o.specDraftTokens;
+    specAccepted += o.specAccepted;
+    specRejected += o.specRejected;
+    specBonus += o.specBonus;
+    return *this;
 }
 
+void
+writeTally(JsonWriter &json, const ServeTally &t,
+           const SampleSummary &itl)
+{
+    json.field("kv_preemptions", t.kvPreemptions);
+    json.field("kv_swap_outs", t.kvSwapOuts);
+    json.field("kv_swap_ins", t.kvSwapIns);
+    json.field("kv_swap_s", t.kvSwapSeconds);
+    if (t.prefixEnabled) {
+        json.field("prefix_hits", t.prefixHits);
+        json.field("prefix_misses", t.prefixMisses);
+        json.field("prefix_cached_tokens", t.prefixCachedTokens);
+        json.field("prefill_tokens_computed",
+                   t.prefillTokensComputed);
+        json.field("prefix_evictions", t.prefixEvictions);
+        json.field("prefix_evicted_blocks", t.prefixEvictedBlocks);
+        json.field("prefix_pinned_peak_blocks", t.prefixPinnedPeak);
+    }
+    if (t.chunkedEnabled) {
+        json.field("itl_p50_s", itl.p50);
+        json.field("itl_p95_s", itl.p95);
+        json.field("itl_p99_s", itl.p99);
+        json.field("chunk_slices", t.chunkSlices);
+        json.field("chunk_prefill_tokens", t.chunkPrefillTokens);
+        json.field("mixed_steps", t.mixedSteps);
+        json.field("starvation_kicks", t.starvationKicks);
+        json.field("max_step_prefill_tokens", t.maxStepPrefillTokens);
+    }
+    if (t.specEnabled) {
+        json.field("spec_verify_steps", t.specVerifySteps);
+        json.field("spec_draft_tokens", t.specDraftTokens);
+        json.field("spec_accepted_tokens", t.specAccepted);
+        json.field("spec_rejected_tokens", t.specRejected);
+        json.field("spec_bonus_tokens", t.specBonus);
+        // Each per-sequence verify cycle ends in either a bonus
+        // token (k/k accepted) or a rejection resample, so their sum
+        // counts cycles and accepted/cycles is the mean accepted
+        // draft length.
+        json.field("spec_mean_accepted_len",
+                   t.specBonus + t.specRejected
+                       ? static_cast<double>(t.specAccepted) /
+                             static_cast<double>(t.specBonus +
+                                                 t.specRejected)
+                       : 0.0);
+    }
+}
 
 void
 writeMetrics(JsonWriter &json, const ServeMetrics &m)
@@ -644,53 +716,13 @@ writeMetrics(JsonWriter &json, const ServeMetrics &m)
     json.field("peak_batch_occupancy", m.peakBatchOccupancy);
     json.field("kv_utilization_peak", m.kvUtilizationPeak);
     json.field("kv_utilization_mean", m.kvUtilizationMean);
-    json.field("kv_preemptions", m.kvPreemptions);
-    json.field("kv_swap_outs", m.kvSwapOuts);
-    json.field("kv_swap_ins", m.kvSwapIns);
-    json.field("kv_swap_s", m.kvSwapSeconds);
-    if (m.prefixEnabled) {
-        json.field("prefix_hits", m.prefixHits);
-        json.field("prefix_misses", m.prefixMisses);
-        json.field("prefix_cached_tokens", m.prefixCachedTokens);
-        json.field("prefill_tokens_computed",
-                   m.prefillTokensComputed);
-        json.field("prefix_evictions", m.prefixEvictions);
-        json.field("prefix_evicted_blocks", m.prefixEvictedBlocks);
-        json.field("prefix_pinned_peak_blocks", m.prefixPinnedPeak);
-    }
-    if (m.chunkedEnabled) {
+    writeTally(json, m, m.itl);
+    // ITL is tracked in every mode but emitted by the chunked block
+    // when chunking is on; spec-only runs surface it here.
+    if (m.specEnabled && !m.chunkedEnabled) {
         json.field("itl_p50_s", m.itl.p50);
         json.field("itl_p95_s", m.itl.p95);
         json.field("itl_p99_s", m.itl.p99);
-        json.field("chunk_slices", m.chunkSlices);
-        json.field("chunk_prefill_tokens", m.chunkPrefillTokens);
-        json.field("mixed_steps", m.mixedSteps);
-        json.field("starvation_kicks", m.starvationKicks);
-        json.field("max_step_prefill_tokens", m.maxStepPrefillTokens);
-    }
-    if (m.specEnabled) {
-        json.field("spec_verify_steps", m.specVerifySteps);
-        json.field("spec_draft_tokens", m.specDraftTokens);
-        json.field("spec_accepted_tokens", m.specAccepted);
-        json.field("spec_rejected_tokens", m.specRejected);
-        json.field("spec_bonus_tokens", m.specBonus);
-        // Each per-sequence verify cycle ends in either a bonus
-        // token (k/k accepted) or a rejection resample, so their sum
-        // counts cycles and accepted/cycles is the mean accepted
-        // draft length.
-        json.field("spec_mean_accepted_len",
-                   m.specBonus + m.specRejected
-                       ? static_cast<double>(m.specAccepted) /
-                             static_cast<double>(m.specBonus +
-                                                 m.specRejected)
-                       : 0.0);
-        // ITL is tracked in every mode but emitted by the chunked
-        // block when chunking is on; spec-only runs surface it here.
-        if (!m.chunkedEnabled) {
-            json.field("itl_p50_s", m.itl.p50);
-            json.field("itl_p95_s", m.itl.p95);
-            json.field("itl_p99_s", m.itl.p99);
-        }
     }
     json.field("retries", m.retries);
     json.field("shed", m.shed);

@@ -448,18 +448,24 @@ struct ServerConfig
 void validate(const ServerConfig &cfg, const char *who);
 
 /**
- * Resilience counters threaded through a run (shared between the
- * Server facade and the incremental ContinuousEngine).
+ * The serving counters: their one declaration. The engine accumulates
+ * them over a run, `ServeMetrics` and `fleet::FleetMetrics` inherit
+ * them, `writeTally` emits them, and `operator+=` is the one rule that
+ * merges them across fleet nodes. A new per-run counter is added here
+ * and in those two functions, nowhere else. Per-token samples are not
+ * counters: the engine keeps its ITL samples itself
+ * (`ContinuousEngine::itlSamples`), so a tally stays small to copy.
  */
 struct ServeTally
 {
-    std::size_t retries = 0;
-    std::size_t shed = 0;
-    std::size_t timedOut = 0;
-    std::size_t failed = 0;
-    std::size_t restarts = 0;
-    std::size_t attestRejections = 0;
-    double faultDowntime = 0.0;
+    // Resilience (all zero in a fault-free default run).
+    std::size_t retries = 0;          //!< re-queued admissions
+    std::size_t shed = 0;             //!< rejected under KV pressure
+    std::size_t timedOut = 0;         //!< dropped past their deadline
+    std::size_t failed = 0;           //!< dropped: retry budget spent
+    std::size_t restarts = 0;         //!< enclave restarts survived
+    std::size_t attestRejections = 0; //!< failed admission handshakes
+    double faultDowntime = 0.0;       //!< seconds re-provisioning
 
     // Paged-KV scheduling (all zero in reserved mode).
     std::size_t kvPreemptions = 0; //!< sequences evicted mid-decode
@@ -480,16 +486,15 @@ struct ServeTally
     std::uint64_t prefixPinnedPeak = 0;      //!< peak pinned blocks
 
     // Chunked prefill (counters are only nonzero when chunking is on;
-    // maxStepPrefillTokens and itlSamples are tracked in every mode —
-    // the differential tests compare them across modes — but only
-    // emitted to JSON when chunkedEnabled keeps off-mode byte-stable).
+    // maxStepPrefillTokens is tracked in every mode — the differential
+    // tests compare it across modes — but only emitted to JSON when
+    // chunkedEnabled keeps off-mode byte-stable).
     bool chunkedEnabled = false;
     std::size_t chunkSlices = 0;      //!< prefill slices executed
     std::uint64_t chunkPrefillTokens = 0; //!< tokens across all slices
     std::size_t mixedSteps = 0;       //!< steps running both phases
     std::size_t starvationKicks = 0;  //!< forced slices past budget
     std::uint64_t maxStepPrefillTokens = 0; //!< worst single step
-    std::vector<double> itlSamples;   //!< per-token decode gaps [s]
 
     // Speculative decoding (counters only move when spec is on; the
     // JSON emitters gate on the flag so off-mode output stays
@@ -504,10 +509,22 @@ struct ServeTally
     std::uint64_t specAccepted = 0;    //!< draft tokens accepted
     std::uint64_t specRejected = 0;    //!< rejection-resampled tokens
     std::uint64_t specBonus = 0;       //!< bonus tokens (k/k accepted)
+
+    /**
+     * Merge another node's tally into this one: counters sum (the
+     * floating-point sums in the caller's order), the *Enabled flags
+     * OR, and the peaks (prefixPinnedPeak, maxStepPrefillTokens) take
+     * the max.
+     */
+    ServeTally &operator+=(const ServeTally &o);
 };
 
-/** Outcome of serving a trace. */
-struct ServeMetrics
+/**
+ * Outcome of serving a trace: the run's counters (the ServeTally
+ * base) plus the latency, occupancy and availability figures derived
+ * from the annotated requests.
+ */
+struct ServeMetrics : ServeTally
 {
     std::size_t completed = 0;
     double makespan = 0.0;            //!< seconds to drain the trace
@@ -517,62 +534,26 @@ struct ServeMetrics
     double tokensPerSecond = 0.0;     //!< output tokens / makespan
     SampleSummary ttft{};             //!< time to first token
     SampleSummary tpot{};             //!< time per output token
+    SampleSummary itl{};              //!< inter-token decode gaps
     double sloAttainment = 0.0;       //!< fraction meeting both SLOs
     double meanBatchOccupancy = 0.0;  //!< sequences per decode step
 
-    // Resilience accounting (all zero in a fault-free default run,
-    // except submitted/outputTokens/availability which describe it).
     std::size_t submitted = 0;        //!< requests in the trace
     std::uint64_t outputTokens = 0;   //!< tokens of completed requests
     double availability = 0.0;        //!< completed / submitted
-    std::size_t retries = 0;          //!< re-queued admissions
-    std::size_t shed = 0;             //!< rejected under KV pressure
-    std::size_t timedOut = 0;         //!< dropped past their deadline
-    std::size_t failed = 0;           //!< dropped: retry budget spent
-    std::size_t restarts = 0;         //!< enclave restarts survived
-    std::size_t attestRejections = 0; //!< failed admission handshakes
-    double faultDowntime = 0.0;       //!< seconds re-provisioning
-
-    // Paged-KV scheduling (all zero in reserved mode).
-    std::size_t kvPreemptions = 0;
-    std::size_t kvSwapOuts = 0;
-    std::size_t kvSwapIns = 0;
-    double kvSwapSeconds = 0.0;
-
-    // Prefix caching (all zero with prefixMode=off; emitted to JSON
-    // only when prefixEnabled so existing output stays byte-stable).
-    bool prefixEnabled = false;
-    std::size_t prefixHits = 0;
-    std::size_t prefixMisses = 0;
-    std::uint64_t prefixCachedTokens = 0;
-    std::uint64_t prefillTokensComputed = 0;
-    std::size_t prefixEvictions = 0;
-    std::uint64_t prefixEvictedBlocks = 0;
-    std::uint64_t prefixPinnedPeak = 0;
-
-    // Chunked prefill (all zero with chunk mode off; emitted to JSON
-    // only when chunkedEnabled so existing output stays byte-stable).
-    bool chunkedEnabled = false;
-    SampleSummary itl{};              //!< inter-token decode gaps
-    std::size_t chunkSlices = 0;
-    std::uint64_t chunkPrefillTokens = 0;
-    std::size_t mixedSteps = 0;
-    std::size_t starvationKicks = 0;
-    std::uint64_t maxStepPrefillTokens = 0;
-
-    // Speculative decoding (all zero with spec off; emitted to JSON
-    // only when specEnabled so existing output stays byte-stable).
-    std::size_t decodeSteps = 0;      //!< target decode/verify passes
-    bool specEnabled = false;
-    std::size_t specVerifySteps = 0;
-    std::uint64_t specDraftTokens = 0;
-    std::uint64_t specAccepted = 0;
-    std::uint64_t specRejected = 0;
-    std::uint64_t specBonus = 0;
 
     /** Per-event fault timeline (empty without a schedule). */
     std::vector<fault::FaultRecord> faultTimeline;
 };
+
+/**
+ * Emit the counter blocks a ServeMetrics and a FleetMetrics share, in
+ * their JSON order: the kv_* block, then the prefix, chunk (with the
+ * `itl` percentiles) and spec blocks, each only when its feature is
+ * enabled.
+ */
+void writeTally(JsonWriter &json, const ServeTally &t,
+                const SampleSummary &itl);
 
 /** Export a ServeMetrics (including its fault timeline) as JSON. */
 void writeMetrics(JsonWriter &json, const ServeMetrics &m);
@@ -685,10 +666,6 @@ class Server
   private:
     ServeMetrics runStatic(std::vector<Request> &trace) const;
     ServeMetrics runContinuous(std::vector<Request> &trace) const;
-    ServeMetrics finalize(const std::vector<Request> &trace,
-                          double makespan, double occupancy_sum,
-                          std::size_t steps,
-                          const ServeTally &tally) const;
 
     std::unique_ptr<StepModel> step_;
     ServerConfig cfg_;

@@ -17,6 +17,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -418,39 +419,79 @@ TEST(FleetMetricsJson, TimelineAndCostsAreCoherent)
 
 TEST(FleetChunked, AggregationSumsNodesAndGatesJsonKeys)
 {
-    // A fault-free homogeneous TDX fleet with chunked prefill on:
-    // the fleet rollup must sum the per-node chunk counters, take
-    // the max of the per-node step bounds, pool the ITL samples,
-    // and emit the gated JSON keys — while a chunking-off run of
-    // the same fleet emits none of them.
-    const llm::ModelConfig model = llm::llama2_7b();
-    NodeTemplate node = cpuTdxNode();
-    bench::applyPagedKv(node.server, model);
-    node.server.chunkedPrefill.mode = serve::ChunkMode::DecodePriority;
-    node.server.chunkedPrefill.chunkTokens = 128;
+    // Three faulty TDX nodes with every serving feature on: each
+    // counter of the fleet rollup must be the sum of the per-node
+    // counters (in node-id order for the floating-point sums), the OR
+    // of the per-node feature flags, or the max of the per-node peaks;
+    // the ITL samples are pooled and the gated JSON keys emitted —
+    // while a chunking-off run emits none of the chunk keys.
+    FleetSimulator sim(threeNodeFleetConfig(), {allFeaturesCpuTemplate()});
+    const FleetMetrics m = sim.run(sharedPrefixTrace(1.5, 200));
+    ASSERT_GE(m.nodes.size(), 3u);
 
-    FleetConfig cfg;
-    cfg.policy = RouterPolicy::LeastOutstanding;
-    cfg.ttftSlo = 2.0;
-    cfg.initialNodes = {0, 0};
+    auto sum = [&](auto field) {
+        std::remove_cvref_t<decltype(m.*field)> s{};
+        for (const NodeSummary &n : m.nodes)
+            s += n.serve.*field;
+        return s;
+    };
+    auto any = [&](bool serve::ServeTally::*field) {
+        bool b = false;
+        for (const NodeSummary &n : m.nodes)
+            b = b || n.serve.*field;
+        return b;
+    };
+    auto max = [&](std::uint64_t serve::ServeTally::*field) {
+        std::uint64_t v = 0;
+        for (const NodeSummary &n : m.nodes)
+            v = std::max(v, n.serve.*field);
+        return v;
+    };
+    using T = serve::ServeTally;
+    EXPECT_EQ(m.retries, sum(&T::retries));
+    EXPECT_EQ(m.shed, sum(&T::shed));
+    EXPECT_EQ(m.timedOut, sum(&T::timedOut));
+    EXPECT_EQ(m.failed, sum(&T::failed));
+    EXPECT_EQ(m.restarts, sum(&T::restarts));
+    EXPECT_EQ(m.attestRejections, sum(&T::attestRejections));
+    EXPECT_EQ(m.faultDowntime, sum(&T::faultDowntime));
+    EXPECT_EQ(m.kvPreemptions, sum(&T::kvPreemptions));
+    EXPECT_EQ(m.kvSwapOuts, sum(&T::kvSwapOuts));
+    EXPECT_EQ(m.kvSwapIns, sum(&T::kvSwapIns));
+    EXPECT_EQ(m.kvSwapSeconds, sum(&T::kvSwapSeconds));
+    EXPECT_EQ(m.prefixEnabled, any(&T::prefixEnabled));
+    EXPECT_EQ(m.prefixHits, sum(&T::prefixHits));
+    EXPECT_EQ(m.prefixMisses, sum(&T::prefixMisses));
+    EXPECT_EQ(m.prefixCachedTokens, sum(&T::prefixCachedTokens));
+    EXPECT_EQ(m.prefillTokensComputed, sum(&T::prefillTokensComputed));
+    EXPECT_EQ(m.prefixEvictions, sum(&T::prefixEvictions));
+    EXPECT_EQ(m.prefixEvictedBlocks, sum(&T::prefixEvictedBlocks));
+    EXPECT_EQ(m.prefixInsertedBlocks, sum(&T::prefixInsertedBlocks));
+    EXPECT_EQ(m.prefixPinnedPeak, max(&T::prefixPinnedPeak));
+    EXPECT_EQ(m.chunkedEnabled, any(&T::chunkedEnabled));
+    EXPECT_EQ(m.chunkSlices, sum(&T::chunkSlices));
+    EXPECT_EQ(m.chunkPrefillTokens, sum(&T::chunkPrefillTokens));
+    EXPECT_EQ(m.mixedSteps, sum(&T::mixedSteps));
+    EXPECT_EQ(m.starvationKicks, sum(&T::starvationKicks));
+    EXPECT_EQ(m.maxStepPrefillTokens, max(&T::maxStepPrefillTokens));
+    EXPECT_EQ(m.decodeSteps, sum(&T::decodeSteps));
+    EXPECT_EQ(m.specEnabled, any(&T::specEnabled));
+    EXPECT_EQ(m.specVerifySteps, sum(&T::specVerifySteps));
+    EXPECT_EQ(m.specDraftTokens, sum(&T::specDraftTokens));
+    EXPECT_EQ(m.specAccepted, sum(&T::specAccepted));
+    EXPECT_EQ(m.specRejected, sum(&T::specRejected));
+    EXPECT_EQ(m.specBonus, sum(&T::specBonus));
 
-    const auto trace = burstyTrace(1.0, 150);
-    FleetSimulator sim(cfg, {node});
-    const FleetMetrics m = sim.run(trace);
-
-    EXPECT_TRUE(m.chunkedEnabled);
-    std::size_t slices = 0;
-    std::uint64_t tokens = 0, max_step = 0;
-    for (const NodeSummary &n : m.nodes) {
-        slices += n.serve.chunkSlices;
-        tokens += n.serve.chunkPrefillTokens;
-        max_step =
-            std::max(max_step, n.serve.maxStepPrefillTokens);
-    }
-    EXPECT_GT(slices, 0u);
-    EXPECT_EQ(m.chunkSlices, slices);
-    EXPECT_EQ(m.chunkPrefillTokens, tokens);
-    EXPECT_EQ(m.maxStepPrefillTokens, max_step);
+    // The run must exercise every feature whose merge it pins.
+    EXPECT_TRUE(m.prefixEnabled && m.chunkedEnabled && m.specEnabled);
+    EXPECT_GT(m.kvPreemptions, 0u);
+    EXPECT_GT(m.prefixHits, 0u);
+    EXPECT_GT(m.prefixPinnedPeak, 0u);
+    EXPECT_GT(m.chunkSlices, 0u);
+    EXPECT_GT(m.mixedSteps, 0u);
+    EXPECT_GT(m.specVerifySteps, 0u);
+    EXPECT_GT(m.retries + m.restarts, 0u);
+    EXPECT_GT(m.faultDowntime + m.kvSwapSeconds, 0.0);
     EXPECT_GT(m.itl.p99, 0.0);
 
     const std::string js = fleetJson(m);
@@ -458,11 +499,17 @@ TEST(FleetChunked, AggregationSumsNodesAndGatesJsonKeys)
     EXPECT_NE(js.find("\"itl_p99_s\""), std::string::npos);
     EXPECT_NE(js.find("\"max_step_prefill_tokens\""),
               std::string::npos);
+    EXPECT_NE(js.find("\"prefix_hits\""), std::string::npos);
+    EXPECT_NE(js.find("\"spec_verify_steps\""), std::string::npos);
 
-    NodeTemplate off_node = node;
-    off_node.server.chunkedPrefill.mode = serve::ChunkMode::Off;
+    NodeTemplate off_node = cpuTdxNode();
+    bench::applyPagedKv(off_node.server, llm::llama2_7b());
+    FleetConfig cfg;
+    cfg.policy = RouterPolicy::LeastOutstanding;
+    cfg.ttftSlo = 2.0;
+    cfg.initialNodes = {0, 0};
     FleetSimulator off_sim(cfg, {off_node});
-    const std::string off_js = fleetJson(off_sim.run(trace));
+    const std::string off_js = fleetJson(off_sim.run(burstyTrace(1.0, 150)));
     EXPECT_EQ(off_js.find("chunk_"), std::string::npos)
         << "off-mode fleet JSON must stay byte-identical to the "
            "pre-chunking format";

@@ -514,7 +514,7 @@ TEST(KvGolden, SmallPagedTimelinePinned)
         reqs.push_back(&r);
     const ServeMetrics m = finalizeRequests(
         reqs, eng.clock(), eng.occupancySum(), eng.steps(),
-        eng.tally(), cfg.ttftSlo, cfg.tpotSlo);
+        eng.tally(), eng.itlSamples(), cfg.ttftSlo, cfg.tpotSlo);
 
     std::map<std::string, double> got;
     got["completed"] = static_cast<double>(m.completed);
