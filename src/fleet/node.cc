@@ -120,10 +120,4 @@ Node::billedSeconds(double fleet_end) const
     return std::max(0.0, end - provisionStart_);
 }
 
-serve::ServeMetrics
-Node::metrics() const
-{
-    return engine_->metrics();
-}
-
 } // namespace cllm::fleet

@@ -121,9 +121,6 @@ class Node
     /** Billed node-seconds if the fleet shuts down at `fleet_end`. */
     double billedSeconds(double fleet_end) const;
 
-    /** Per-node serving metrics over everything routed here. */
-    serve::ServeMetrics metrics() const;
-
   private:
     /**
      * Prefill-latency estimate honouring the node's scheduling

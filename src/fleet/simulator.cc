@@ -296,7 +296,7 @@ FleetSimulator::finalize(const std::vector<serve::Request> &trace,
         s.billedSeconds = n->billedSeconds(makespan);
         s.costUsd = cost::nodeSecondsUsd(n->pricePerHour(),
                                          s.billedSeconds);
-        s.serve = n->metrics();
+        s.serve = n->engine().metrics();
         m.totalCostUsd += s.costUsd;
         m.nodes.push_back(std::move(s));
     }

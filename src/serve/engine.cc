@@ -151,12 +151,6 @@ ContinuousEngine::kvUtilization() const
     return pool_ ? pool_->utilization() : 0.0;
 }
 
-const std::vector<fault::FaultRecord> &
-ContinuousEngine::timeline() const
-{
-    return inj_.timeline();
-}
-
 std::vector<const Request *>
 ContinuousEngine::drainFinished()
 {

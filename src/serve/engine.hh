@@ -130,7 +130,6 @@ class ContinuousEngine
     }
     /** Largest batch any single decode step ran with. */
     std::size_t peakBatch() const { return maxActive_; }
-    const std::vector<fault::FaultRecord> &timeline() const;
 
     /** Every request ever submitted, in submission order. */
     const std::vector<const Request *> &submitted() const
