@@ -6,13 +6,21 @@
 #ifndef CLLM_BENCH_BENCH_UTIL_HH
 #define CLLM_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -58,45 +66,6 @@ struct ObsOptions
     std::string tracePath;  //!< "" = $CLLM_TRACE_OUT, then default
     std::string metricsOut; //!< "" = no registry snapshot
 };
-
-/** Usage text for the shared observability flags. */
-inline const char *
-obsUsage()
-{
-    return "  --trace [path]      record a sim-time trace and write "
-           "Chrome trace-event\n"
-           "                      JSON (chrome://tracing / Perfetto); "
-           "path defaults to\n"
-           "                      $CLLM_TRACE_OUT, then to "
-           "<bench>.trace.json\n"
-           "  --metrics-out path  write the metrics-registry snapshot "
-           "(counters,\n"
-           "                      gauges, histograms) as JSON to "
-           "path\n"
-           "  --help              show this help\n";
-}
-
-/**
- * Consume argv[i] (advancing `i` past any operand) when it is one of
- * the shared observability flags; false otherwise.
- */
-inline bool
-parseObsArg(ObsOptions &opt, int argc, char **argv, int &i)
-{
-    if (std::strcmp(argv[i], "--trace") == 0) {
-        opt.trace = true;
-        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-            opt.tracePath = argv[++i];
-        return true;
-    }
-    if (std::strcmp(argv[i], "--metrics-out") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--metrics-out needs a path");
-        opt.metricsOut = argv[++i];
-        return true;
-    }
-    return false;
-}
 
 /**
  * Dump the global metrics registry as JSON to `path`; no-op when
@@ -164,266 +133,294 @@ applyPagedKv(serve::ServerConfig &cfg, const llm::ModelConfig &model,
 }
 
 /**
- * Consume a `--<flag> <mode>` pair at argv[i] (advancing `i` past the
- * operand); false when argv[i] is some other flag. One helper behind
- * the `--kv`, `--prefix`, and `--chunk` mode flags instead of three
- * copies of the same bounds-check-then-parse dance: `parse` maps the
- * operand onto the mode enum (and is fatal on junk), `operands` is
- * the usage hint printed when the operand is missing.
+ * One command-line flag of a bench binary: its name, operand hint,
+ * help text, and the field it writes. The field is the real policy
+ * member (`serve::ChunkedPrefillPolicy::chunkTokens`, ...), so a
+ * parsed table needs no copying back. An empty operand hint marks a
+ * switch, which sets its `bool` field; a bracketed hint (`[seed]`)
+ * marks an optional operand, taken only when the next argument is
+ * not a flag. `seen`, when set, records that the flag appeared.
  */
-template <typename Mode>
-inline bool
-parseModeArg(const char *flag, Mode (*parse)(const std::string &),
-             Mode &mode, int argc, char **argv, int &i,
-             const char *operands)
+struct Flag
 {
-    if (std::strcmp(argv[i], flag) != 0)
-        return false;
-    if (i + 1 >= argc)
-        cllm_fatal(flag, " needs a mode (", operands, ")");
-    mode = parse(argv[++i]);
-    return true;
-}
+    /** Accepted range of a numeric operand; `open` excludes both
+     *  ends. */
+    struct Range
+    {
+        double lo = 0.0;
+        double hi = std::numeric_limits<double>::infinity();
+        bool open = false;
+    };
 
-/**
- * Consume `--kv <reserved|paged>` at argv[i]; false otherwise. The
- * flag is strictly additive: without it the binaries run reserved and
- * their stdout stays byte-identical.
- */
-inline bool
-parseKvArg(serve::KvMode &mode, int argc, char **argv, int &i)
-{
-    return parseModeArg("--kv", serve::parseKvMode, mode, argc, argv,
-                        i, "reserved|paged");
-}
+    using Field =
+        std::variant<bool *, unsigned *, std::uint64_t *, double *,
+                     std::string *, serve::KvMode *, serve::PrefixMode *,
+                     serve::ChunkMode *>;
 
-/**
- * Prefix-caching options shared by `serve_slo`, `fleet_capacity`, and
- * `examples/prefix_serving` — one parser instead of three copies.
- * Defaults leave caching off and the workload unannotated, so a
- * binary that never sees the flags stays byte-identical.
- */
-struct PrefixOptions
-{
-    serve::PrefixMode mode = serve::PrefixMode::Off;
-    serve::SharedPrefixMix mix{};
+    const char *name;
+    const char *operand;
+    const char *help; //!< '\n' starts an indented continuation line
+    Field field{};
+    Range range{};
+    bool *seen = nullptr;
 };
 
-/** Usage text for the shared prefix-caching flags. */
-inline const char *
-prefixUsage()
+/** A binary's flags, in `--help` order, under its synopsis. */
+struct FlagTable
 {
-    return "  --prefix <off|per_tenant|global>\n"
-           "                      enable radix-tree prefix KV caching "
-           "with the given\n"
-           "                      sharing scope (requires --kv "
-           "paged)\n"
-           "  --prefix-tenants N  tenants in the shared-prompt mix "
-           "(default 4)\n"
-           "  --prefix-len N      shared system-prompt length in "
-           "tokens (default 256)\n"
-           "  --prefix-share F    fraction of requests opening with a "
-           "shared prompt\n"
-           "                      (default 0.85)\n";
-}
-
-/**
- * Consume argv[i] (advancing `i` past any operand) when it is one of
- * the shared prefix-caching flags; false otherwise.
- */
-inline bool
-parsePrefixArg(PrefixOptions &opt, int argc, char **argv, int &i)
-{
-    if (parseModeArg("--prefix", serve::parsePrefixMode, opt.mode,
-                     argc, argv, i, "off|per_tenant|global"))
-        return true;
-    if (std::strcmp(argv[i], "--prefix-tenants") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--prefix-tenants needs a count");
-        opt.mix.tenants =
-            static_cast<unsigned>(std::stoul(argv[++i]));
-        if (opt.mix.tenants == 0)
-            cllm_fatal("--prefix-tenants must be positive");
-        return true;
-    }
-    if (std::strcmp(argv[i], "--prefix-len") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--prefix-len needs a token count");
-        opt.mix.prefixLen =
-            static_cast<unsigned>(std::stoul(argv[++i]));
-        return true;
-    }
-    if (std::strcmp(argv[i], "--prefix-share") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--prefix-share needs a fraction");
-        opt.mix.sharedFraction = std::stod(argv[++i]);
-        if (opt.mix.sharedFraction < 0.0 ||
-            opt.mix.sharedFraction > 1.0)
-            cllm_fatal("--prefix-share outside [0, 1]");
-        return true;
-    }
-    return false;
-}
-
-/** The shared-system-prompt arrival mix the prefix studies replay. */
-inline serve::SharedPrefixMix
-sharedPromptMix()
-{
-    return serve::SharedPrefixMix{};
-}
-
-/** Apply parsed prefix options to a server config. */
-inline void
-applyPrefixCache(serve::ServerConfig &cfg, const PrefixOptions &opt)
-{
-    cfg.prefixMode = opt.mode;
-}
-
-/**
- * Chunked-prefill options shared by `serve_slo`, `fleet_capacity`,
- * and `examples/chunked_serving`. Defaults leave chunking off, so a
- * binary that never sees the flags stays byte-identical.
- */
-struct ChunkOptions
-{
-    serve::ChunkMode mode = serve::ChunkMode::Off;
-    unsigned chunkTokens = 256;
-    unsigned stepTokenBudget = 0; //!< 0 = chunkTokens + maxBatch
+    const char *synopsis; //!< printed verbatim before the flag rows
+    std::vector<Flag> flags;
 };
 
-/** Usage text for the shared chunked-prefill flags. */
-inline const char *
-chunkUsage()
+/** Concatenate flag groups into one table body. */
+template <typename... Groups>
+std::vector<Flag>
+joinFlags(std::vector<Flag> first, const Groups &...rest)
 {
-    return "  --chunk <off|decode|prefill>\n"
-           "                      enable chunked prefill with mixed "
-           "prefill/decode\n"
-           "                      steps under the given scheduling "
-           "priority\n"
-           "  --chunk-tokens N    max prompt tokens per prefill slice "
-           "(default 256)\n"
-           "  --chunk-budget N    per-step token budget (default: "
-           "chunk + batch)\n";
+    (first.insert(first.end(), rest.begin(), rest.end()), ...);
+    return first;
 }
 
-/**
- * Consume argv[i] (advancing `i` past any operand) when it is one of
- * the shared chunked-prefill flags; false otherwise.
- */
-inline bool
-parseChunkArg(ChunkOptions &opt, int argc, char **argv, int &i)
-{
-    if (parseModeArg("--chunk", serve::parseChunkMode, opt.mode,
-                     argc, argv, i, "off|decode|prefill"))
-        return true;
-    if (std::strcmp(argv[i], "--chunk-tokens") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--chunk-tokens needs a token count");
-        opt.chunkTokens =
-            static_cast<unsigned>(std::stoul(argv[++i]));
-        if (opt.chunkTokens == 0)
-            cllm_fatal("--chunk-tokens must be positive");
-        return true;
-    }
-    if (std::strcmp(argv[i], "--chunk-budget") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--chunk-budget needs a token count");
-        opt.stepTokenBudget =
-            static_cast<unsigned>(std::stoul(argv[++i]));
-        return true;
-    }
-    return false;
-}
-
-/** Apply parsed chunked-prefill options to a server config. */
+/** Print the synopsis, then one help entry per flag. */
 inline void
-applyChunkedPrefill(serve::ServerConfig &cfg, const ChunkOptions &opt)
+printUsage(std::ostream &os, const FlagTable &table)
 {
-    cfg.chunkedPrefill.mode = opt.mode;
-    cfg.chunkedPrefill.chunkTokens = opt.chunkTokens;
-    cfg.chunkedPrefill.stepTokenBudget = opt.stepTokenBudget;
+    constexpr std::size_t kHelpColumn = 22;
+    os << table.synopsis;
+    for (const Flag &f : table.flags) {
+        std::string head = std::string("  ") + f.name;
+        if (*f.operand)
+            head = head + " " + f.operand;
+        os << head;
+        if (head.size() < kHelpColumn)
+            os << std::string(kHelpColumn - head.size(), ' ');
+        else
+            os << "\n" << std::string(kHelpColumn, ' ');
+        for (const char *c = f.help; *c; ++c) {
+            os << *c;
+            if (*c == '\n')
+                os << std::string(kHelpColumn, ' ');
+        }
+        os << "\n";
+    }
 }
 
 /**
- * Speculative-decoding options shared by `serve_slo`,
- * `fleet_capacity`, and `examples/speculative_serving`. Defaults
- * leave speculation off, so a binary that never sees the flags stays
- * byte-identical.
+ * Parse a whole operand as a number of type T. Anything else is fatal
+ * and names the flag: trailing junk (`12x`), a sign on an unsigned
+ * value, a value the type cannot hold, or a non-finite double.
  */
-struct SpecOptions
+template <typename T>
+T
+parseNumber(const char *flag, const char *text)
 {
-    bool enabled = false;
-    unsigned draftTokens = 4;
-    double draftCostRatio = 0.15;
-    double acceptProb = 0.7;
-};
-
-/** Usage text for the shared speculative-decoding flags. */
-inline const char *
-specUsage()
-{
-    return "  --spec              enable speculative decoding "
-           "(draft + fused verify\n"
-           "                      steps; amortizes per-step TEE "
-           "overheads)\n"
-           "  --spec-k N          draft tokens per verify cycle "
-           "(default 4)\n"
-           "  --spec-ratio F      draft-model cost as a fraction of "
-           "the target's\n"
-           "                      decode step, in (0, 1) (default "
-           "0.15)\n"
-           "  --spec-accept F     per-position draft acceptance "
-           "probability, in\n"
-           "                      [0, 1] (default 0.7)\n";
+    T value{};
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    const bool whole = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!whole || !std::isfinite(value))
+            cllm_fatal(flag, " expects a finite number, got '", text,
+                       "'");
+    } else if (!whole) {
+        cllm_fatal(flag, " expects an integer in [0, ",
+                   std::numeric_limits<T>::max(), "], got '", text, "'");
+    }
+    return value;
 }
 
-/**
- * Consume argv[i] (advancing `i` past any operand) when it is one of
- * the shared speculative-decoding flags; false otherwise.
- */
-inline bool
-parseSpecArg(SpecOptions &opt, int argc, char **argv, int &i)
-{
-    if (std::strcmp(argv[i], "--spec") == 0) {
-        opt.enabled = true;
-        return true;
-    }
-    if (std::strcmp(argv[i], "--spec-k") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--spec-k needs a token count");
-        opt.draftTokens =
-            static_cast<unsigned>(std::stoul(argv[++i]));
-        if (opt.draftTokens == 0)
-            cllm_fatal("--spec-k must be positive");
-        return true;
-    }
-    if (std::strcmp(argv[i], "--spec-ratio") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--spec-ratio needs a fraction");
-        opt.draftCostRatio = std::stod(argv[++i]);
-        if (opt.draftCostRatio <= 0.0 || opt.draftCostRatio >= 1.0)
-            cllm_fatal("--spec-ratio outside (0, 1)");
-        return true;
-    }
-    if (std::strcmp(argv[i], "--spec-accept") == 0) {
-        if (i + 1 >= argc)
-            cllm_fatal("--spec-accept needs a probability");
-        opt.acceptProb = std::stod(argv[++i]);
-        if (opt.acceptProb < 0.0 || opt.acceptProb > 1.0)
-            cllm_fatal("--spec-accept outside [0, 1]");
-        return true;
-    }
-    return false;
-}
-
-/** Apply parsed speculative-decoding options to a server config. */
+/** Fatal, naming the flag, when `value` lies outside its range. */
 inline void
-applySpecDecode(serve::ServerConfig &cfg, const SpecOptions &opt)
+checkRange(const Flag &f, double value)
 {
-    cfg.specDecode.enabled = opt.enabled;
-    cfg.specDecode.draftTokens = opt.draftTokens;
-    cfg.specDecode.draftCostRatio = opt.draftCostRatio;
-    cfg.specDecode.acceptProb = opt.acceptProb;
+    const Flag::Range &r = f.range;
+    const bool ok = r.open ? value > r.lo && value < r.hi
+                           : value >= r.lo && value <= r.hi;
+    if (ok)
+        return;
+    if (std::isinf(r.hi))
+        cllm_fatal(f.name, " must be at least ", r.lo);
+    cllm_fatal(f.name, " outside ", r.open ? "(" : "[", r.lo, ", ", r.hi,
+               r.open ? ")" : "]");
+}
+
+/** Write one operand into a flag's field, by the field's type. */
+inline void
+setField(const Flag &, const char *, bool &on)
+{
+    on = true;
+}
+
+inline void
+setField(const Flag &f, const char *text, unsigned &v)
+{
+    v = parseNumber<unsigned>(f.name, text);
+    checkRange(f, v);
+}
+
+inline void
+setField(const Flag &f, const char *text, std::uint64_t &v)
+{
+    v = parseNumber<std::uint64_t>(f.name, text);
+}
+
+inline void
+setField(const Flag &f, const char *text, double &v)
+{
+    v = parseNumber<double>(f.name, text);
+    checkRange(f, v);
+}
+
+inline void
+setField(const Flag &, const char *text, std::string &v)
+{
+    v = text;
+}
+
+inline void
+setField(const Flag &, const char *text, serve::KvMode &v)
+{
+    v = serve::parseKvMode(text);
+}
+
+inline void
+setField(const Flag &, const char *text, serve::PrefixMode &v)
+{
+    v = serve::parsePrefixMode(text);
+}
+
+inline void
+setField(const Flag &, const char *text, serve::ChunkMode &v)
+{
+    v = serve::parseChunkMode(text);
+}
+
+/**
+ * Parse argv against `table`, writing each flag's field in place.
+ * `--help`/`-h` prints the usage to stdout and exits 0; an unknown
+ * argument prints the usage to stderr and exits 2; a missing or
+ * malformed operand is fatal and names the flag.
+ */
+inline void
+parseFlags(int argc, char **argv, const FlagTable &table)
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            printUsage(std::cout, table);
+            std::exit(0);
+        }
+        const auto it =
+            std::find_if(table.flags.begin(), table.flags.end(),
+                         [&](const Flag &f) { return arg == f.name; });
+        if (it == table.flags.end()) {
+            std::cerr << "unknown argument '" << arg << "'\n";
+            printUsage(std::cerr, table);
+            std::exit(2);
+        }
+        const Flag &f = *it;
+        if (f.seen)
+            *f.seen = true;
+        const char *text = nullptr;
+        if (f.operand[0] == '[') {
+            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
+                text = argv[++i];
+        } else if (*f.operand) {
+            if (i + 1 >= argc)
+                cllm_fatal(f.name, " needs an operand (", f.operand,
+                           ")");
+            text = argv[++i];
+        }
+        if (text || !*f.operand)
+            std::visit([&](auto *field) { setField(f, text, *field); },
+                       f.field);
+    }
+}
+
+/** `--prefix`: the prefix-cache sharing scope. */
+inline Flag
+prefixModeFlag(serve::PrefixMode &mode)
+{
+    return {"--prefix", "<off|per_tenant|global>",
+            "enable radix-tree prefix KV caching with the given\n"
+            "sharing scope (requires --kv paged)",
+            &mode};
+}
+
+/** The shape of the shared-system-prompt mix. */
+inline std::vector<Flag>
+prefixMixFlags(serve::SharedPrefixMix &mix)
+{
+    return {
+        {"--prefix-tenants", "N",
+         "tenants in the shared-prompt mix (default 4)", &mix.tenants,
+         {1}},
+        {"--prefix-len", "N",
+         "shared system-prompt length in tokens (default 256)",
+         &mix.prefixLen},
+        {"--prefix-share", "F",
+         "fraction of requests opening with a shared prompt\n"
+         "(default 0.85)",
+         &mix.sharedFraction, {0.0, 1.0}},
+    };
+}
+
+/** Chunked prefill; defaults leave it off. */
+inline std::vector<Flag>
+chunkFlags(serve::ChunkedPrefillPolicy &chunk)
+{
+    return {
+        {"--chunk", "<off|decode|prefill>",
+         "enable chunked prefill with mixed prefill/decode\n"
+         "steps under the given scheduling priority",
+         &chunk.mode},
+        {"--chunk-tokens", "N",
+         "max prompt tokens per prefill slice (default 256)",
+         &chunk.chunkTokens, {1}},
+        {"--chunk-budget", "N",
+         "per-step token budget (default: chunk + batch)",
+         &chunk.stepTokenBudget},
+    };
+}
+
+/** Speculative decoding; defaults leave it off. */
+inline std::vector<Flag>
+specFlags(serve::SpecDecodePolicy &spec)
+{
+    return {
+        {"--spec", "",
+         "enable speculative decoding (draft + fused verify\n"
+         "steps; amortizes per-step TEE overheads)",
+         &spec.enabled},
+        {"--spec-k", "N", "draft tokens per verify cycle (default 4)",
+         &spec.draftTokens, {1}},
+        {"--spec-ratio", "F",
+         "draft-model cost as a fraction of the target's\n"
+         "decode step, in (0, 1) (default 0.15)",
+         &spec.draftCostRatio, {0.0, 1.0, true}},
+        {"--spec-accept", "F",
+         "per-position draft acceptance probability, in\n"
+         "[0, 1] (default 0.7)",
+         &spec.acceptProb, {0.0, 1.0}},
+    };
+}
+
+/** Trace and metrics export, plus the `--help` entry. */
+inline std::vector<Flag>
+obsFlags(ObsOptions &obs)
+{
+    return {
+        {"--trace", "[path]",
+         "record a sim-time trace and write Chrome trace-event\n"
+         "JSON (chrome://tracing / Perfetto); path defaults to\n"
+         "$CLLM_TRACE_OUT, then to <bench>.trace.json",
+         &obs.tracePath, {}, &obs.trace},
+        {"--metrics-out", "path",
+         "write the metrics-registry snapshot (counters,\n"
+         "gauges, histograms) as JSON to path",
+         &obs.metricsOut},
+        {"--help", "", "show this help"},
+    };
 }
 
 /** Shared-ownership wrapper around a freshly built TEE backend. */
@@ -431,20 +428,6 @@ inline std::shared_ptr<const tee::TeeBackend>
 sharedBackend(std::unique_ptr<tee::TeeBackend> p)
 {
     return std::shared_ptr<const tee::TeeBackend>(std::move(p));
-}
-
-/** Deployment shape of the serving studies: 1024 in / 256 out,
- *  batch 32, one socket. */
-inline llm::RunParams
-serveDeployParams(const hw::CpuSpec &cpu)
-{
-    llm::RunParams p;
-    p.inLen = 1024;
-    p.outLen = 256;
-    p.batch = 32;
-    p.sockets = 1;
-    p.cores = cpu.coresPerSocket;
-    return p;
 }
 
 /** The seed-99 trace replayed by the serving and fleet studies:

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,22 +32,6 @@
 using namespace cllm;
 
 namespace {
-
-void
-usage(std::ostream &os)
-{
-    os << "usage: fleet_capacity [--kv reserved|paged] "
-          "[--prefix <mode>] [--chunk <mode>] [--spec] "
-          "[--trace [path]] [--metrics-out path]\n\n"
-          "  --kv mode           KV discipline on every node: "
-          "'reserved' (default,\n"
-          "                      whole-request block reservation) or "
-          "'paged'\n"
-          "                      (headroom admission with recompute "
-          "preemption)\n"
-       << bench::prefixUsage() << bench::chunkUsage()
-       << bench::specUsage() << bench::obsUsage();
-}
 
 /** Sustainable request rate of one node at full batch, from its own
  *  step model: decode tokens/s divided by the mean output length. */
@@ -97,21 +80,16 @@ sizeFleet(fleet::FleetConfig cfg,
 
 void
 sweep(double ttft_slo, const std::vector<double> &rates,
-      serve::KvMode kv_mode, const bench::ChunkOptions &copt,
-      const bench::SpecOptions &sopt)
+      serve::KvMode kv_mode, const serve::ChunkedPrefillPolicy &chunk,
+      const serve::SpecDecodePolicy &spec)
 {
     fleet::NodeTemplate cpu = fleet::cpuTdxNode();
     fleet::NodeTemplate gpu = fleet::cgpuH100Node();
-    if (kv_mode == serve::KvMode::Paged) {
-        const llm::ModelConfig model = llm::llama2_7b();
-        bench::applyPagedKv(cpu.server, model);
-        bench::applyPagedKv(gpu.server, model);
-    }
-    bench::applyChunkedPrefill(cpu.server, copt);
-    bench::applyChunkedPrefill(gpu.server, copt);
-    if (sopt.enabled) {
-        bench::applySpecDecode(cpu.server, sopt);
-        bench::applySpecDecode(gpu.server, sopt);
+    for (fleet::NodeTemplate *node : {&cpu, &gpu}) {
+        if (kv_mode == serve::KvMode::Paged)
+            bench::applyPagedKv(node->server, llm::llama2_7b());
+        node->server.chunkedPrefill = chunk;
+        node->server.specDecode = spec;
     }
 
     serve::WorkloadConfig base = bench::serveSeedWorkload();
@@ -193,6 +171,41 @@ sweep(double ttft_slo, const std::vector<double> &rates,
     std::cout << "\n";
 }
 
+/** The node of the feature comparisons: one TDX machine, paged KV. */
+fleet::NodeTemplate
+comparisonNode()
+{
+    fleet::NodeTemplate cpu = fleet::cpuTdxNode();
+    bench::applyPagedKv(cpu.server, llm::llama2_7b());
+    return cpu;
+}
+
+/** The comparisons' trace: the seed workload at 1.2 req/s, 400
+ *  requests. */
+std::vector<serve::Request>
+comparisonTrace()
+{
+    serve::WorkloadConfig load = bench::serveSeedWorkload();
+    load.arrivalRate = 1.2;
+    load.numRequests = 400;
+    return serve::generateWorkload(load);
+}
+
+/** Replay `trace` on four copies of `node` under a 2 s TTFT SLO. */
+fleet::FleetMetrics
+runFourNodes(const fleet::NodeTemplate &node,
+             const std::vector<serve::Request> &trace,
+             fleet::RouterPolicy policy =
+                 fleet::RouterPolicy::LeastOutstanding)
+{
+    fleet::FleetConfig cfg;
+    cfg.ttftSlo = 2.0;
+    cfg.policy = policy;
+    cfg.initialNodes = {0, 0, 0, 0};
+    fleet::FleetSimulator sim(cfg, {node});
+    return sim.run(trace);
+}
+
 /**
  * Prefix-caching comparison on a homogeneous 4-node TDX fleet: the
  * same shared-system-prompt trace replayed with caching off, caching
@@ -202,25 +215,19 @@ sweep(double ttft_slo, const std::vector<double> &rates,
  * rates and the TTFT / $/1k-token deltas the routing choice buys.
  */
 void
-prefixComparison(const bench::PrefixOptions &popt)
+prefixComparison(serve::PrefixMode mode, const serve::SharedPrefixMix &mix)
 {
     std::cout << "--- prefix caching: shared-system-prompt mix on a "
                  "4-node TDX fleet ---\n";
-    std::cout << "sharing scope " << serve::prefixModeName(popt.mode)
-              << "; " << popt.mix.tenants << " tenants, "
-              << popt.mix.prefixLen << "-token shared prefixes, "
-              << fmtPct(100.0 * popt.mix.sharedFraction)
+    std::cout << "sharing scope " << serve::prefixModeName(mode)
+              << "; " << mix.tenants << " tenants, "
+              << mix.prefixLen << "-token shared prefixes, "
+              << fmtPct(100.0 * mix.sharedFraction)
               << " of requests shared\n\n";
 
-    const llm::ModelConfig model = llm::llama2_7b();
-    fleet::NodeTemplate cpu = fleet::cpuTdxNode();
-    bench::applyPagedKv(cpu.server, model);
-
-    serve::WorkloadConfig load = bench::serveSeedWorkload();
-    load.arrivalRate = 1.2;
-    load.numRequests = 400;
-    std::vector<serve::Request> trace = serve::generateWorkload(load);
-    serve::applySharedPrefixMix(trace, popt.mix);
+    const fleet::NodeTemplate cpu = comparisonNode();
+    std::vector<serve::Request> trace = comparisonTrace();
+    serve::applySharedPrefixMix(trace, mix);
 
     // Per-node cache budget sized below the distinct-prompt working
     // set (tenants x prompts/tenant prefixes). Scatter routing makes
@@ -230,7 +237,7 @@ prefixComparison(const bench::PrefixOptions &popt)
     // routing policy is worth.
     const std::uint64_t bt = cpu.server.kvBlockTokens;
     const std::uint64_t prompt_blocks =
-        (popt.mix.prefixLen + bt - 1) / bt;
+        (mix.prefixLen + bt - 1) / bt;
     const std::uint64_t budget = 3 * prompt_blocks;
 
     struct Variant
@@ -254,15 +261,10 @@ prefixComparison(const bench::PrefixOptions &popt)
     for (const Variant &v : variants) {
         fleet::NodeTemplate node = cpu;
         if (v.prefixOn) {
-            node.server.prefixMode = popt.mode;
+            node.server.prefixMode = mode;
             node.server.prefix.maxBlocks = budget;
         }
-        fleet::FleetConfig cfg;
-        cfg.ttftSlo = 2.0;
-        cfg.policy = v.policy;
-        cfg.initialNodes = {0, 0, 0, 0};
-        fleet::FleetSimulator sim(cfg, {node});
-        const fleet::FleetMetrics m = sim.run(trace);
+        const fleet::FleetMetrics m = runFourNodes(node, trace, v.policy);
         if (!v.prefixOn)
             off_per_1k = m.costPer1kTokens;
         const std::size_t matches = m.prefixHits + m.prefixMisses;
@@ -287,35 +289,22 @@ prefixComparison(const bench::PrefixOptions &popt)
  * projection) is exercised end to end.
  */
 void
-chunkedComparison(const bench::ChunkOptions &copt)
+chunkedComparison(const serve::ChunkedPrefillPolicy &chunk)
 {
     std::cout << "--- chunked prefill: "
-              << serve::chunkModeName(copt.mode) << "-priority "
-              << copt.chunkTokens
+              << serve::chunkModeName(chunk.mode) << "-priority "
+              << chunk.chunkTokens
               << "-token slices on a 4-node TDX fleet ---\n\n";
 
-    const llm::ModelConfig model = llm::llama2_7b();
-    fleet::NodeTemplate cpu = fleet::cpuTdxNode();
-    bench::applyPagedKv(cpu.server, model);
-
-    serve::WorkloadConfig load = bench::serveSeedWorkload();
-    load.arrivalRate = 1.2;
-    load.numRequests = 400;
-    const std::vector<serve::Request> trace =
-        serve::generateWorkload(load);
+    const std::vector<serve::Request> trace = comparisonTrace();
 
     Table t({"schedule", "max step pf", "TTFT p99 [s]",
              "ITL p99 [ms]", "tok/s", "$/1k tok"});
     for (bool chunked : {false, true}) {
-        fleet::NodeTemplate node = cpu;
+        fleet::NodeTemplate node = comparisonNode();
         if (chunked)
-            bench::applyChunkedPrefill(node.server, copt);
-        fleet::FleetConfig cfg;
-        cfg.ttftSlo = 2.0;
-        cfg.policy = fleet::RouterPolicy::LeastOutstanding;
-        cfg.initialNodes = {0, 0, 0, 0};
-        fleet::FleetSimulator sim(cfg, {node});
-        const fleet::FleetMetrics m = sim.run(trace);
+            node.server.chunkedPrefill = chunk;
+        const fleet::FleetMetrics m = runFourNodes(node, trace);
         t.addRow({chunked ? "chunked" : "monolithic",
                   fmtInt(m.maxStepPrefillTokens), fmt(m.ttft.p99, 3),
                   chunked ? fmt(1e3 * m.itl.p99, 1)
@@ -334,35 +323,22 @@ chunkedComparison(const bench::ChunkOptions &copt)
  * decode estimate) are exercised end to end.
  */
 void
-specComparison(const bench::SpecOptions &sopt)
+specComparison(const serve::SpecDecodePolicy &spec)
 {
-    std::cout << "--- speculative decoding: k=" << sopt.draftTokens
-              << " drafts (cost ratio " << fmt(sopt.draftCostRatio, 2)
-              << ", acceptance " << fmt(sopt.acceptProb, 2)
+    std::cout << "--- speculative decoding: k=" << spec.draftTokens
+              << " drafts (cost ratio " << fmt(spec.draftCostRatio, 2)
+              << ", acceptance " << fmt(spec.acceptProb, 2)
               << ") on a 4-node TDX fleet ---\n\n";
 
-    const llm::ModelConfig model = llm::llama2_7b();
-    fleet::NodeTemplate cpu = fleet::cpuTdxNode();
-    bench::applyPagedKv(cpu.server, model);
-
-    serve::WorkloadConfig load = bench::serveSeedWorkload();
-    load.arrivalRate = 1.2;
-    load.numRequests = 400;
-    const std::vector<serve::Request> trace =
-        serve::generateWorkload(load);
+    const std::vector<serve::Request> trace = comparisonTrace();
 
     Table t({"variant", "verify steps", "mean acc len",
              "ITL p99 [ms]", "tok/s", "$/1k tok"});
-    for (bool spec : {false, true}) {
-        fleet::NodeTemplate node = cpu;
-        if (spec)
-            bench::applySpecDecode(node.server, sopt);
-        fleet::FleetConfig cfg;
-        cfg.ttftSlo = 2.0;
-        cfg.policy = fleet::RouterPolicy::LeastOutstanding;
-        cfg.initialNodes = {0, 0, 0, 0};
-        fleet::FleetSimulator sim(cfg, {node});
-        const fleet::FleetMetrics m = sim.run(trace);
+    for (bool on : {false, true}) {
+        fleet::NodeTemplate node = comparisonNode();
+        if (on)
+            node.server.specDecode = spec;
+        const fleet::FleetMetrics m = runFourNodes(node, trace);
         // Per-sequence verify cycles end in a bonus token or a
         // rejection resample, so their sum counts cycles.
         const std::uint64_t cycles = m.specBonus + m.specRejected;
@@ -370,9 +346,9 @@ specComparison(const bench::SpecOptions &sopt)
             cycles ? static_cast<double>(m.specAccepted) /
                          static_cast<double>(cycles)
                    : 0.0;
-        t.addRow({spec ? "speculative" : "autoregressive",
-                  spec ? fmtInt(m.specVerifySteps) : std::string("-"),
-                  spec ? fmt(mean_acc, 2) : std::string("-"),
+        t.addRow({on ? "speculative" : "autoregressive",
+                  on ? fmtInt(m.specVerifySteps) : std::string("-"),
+                  on ? fmt(mean_acc, 2) : std::string("-"),
                   fmt(1e3 * m.itl.p99, 1), fmt(m.tokensPerSecond),
                   fmt(m.costPer1kTokens, 4)});
     }
@@ -418,31 +394,27 @@ int
 main(int argc, char **argv)
 {
     bench::ObsOptions opt;
-    bench::PrefixOptions popt;
-    bench::ChunkOptions copt;
-    bench::SpecOptions sopt;
     serve::KvMode kv_mode = serve::KvMode::Reserved;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            usage(std::cout);
-            return 0;
-        }
-        if (bench::parseKvArg(kv_mode, argc, argv, i))
-            continue;
-        if (bench::parsePrefixArg(popt, argc, argv, i))
-            continue;
-        if (bench::parseChunkArg(copt, argc, argv, i))
-            continue;
-        if (bench::parseSpecArg(sopt, argc, argv, i))
-            continue;
-        if (bench::parseObsArg(opt, argc, argv, i))
-            continue;
-        std::cerr << "fleet_capacity: unknown argument '" << argv[i]
-                  << "'\n";
-        usage(std::cerr);
-        return 2;
-    }
+    serve::PrefixMode prefix_mode = serve::PrefixMode::Off;
+    serve::SharedPrefixMix mix;
+    serve::ChunkedPrefillPolicy chunk;
+    serve::SpecDecodePolicy spec;
+    const bench::FlagTable table{
+        "usage: fleet_capacity [--kv reserved|paged] "
+        "[--prefix <mode>] [--chunk <mode>] [--spec] "
+        "[--trace [path]] [--metrics-out path]\n\n",
+        bench::joinFlags(
+            {
+                {"--kv", "mode",
+                 "KV discipline on every node: 'reserved' (default,\n"
+                 "whole-request block reservation) or 'paged'\n"
+                 "(headroom admission with recompute preemption)",
+                 &kv_mode},
+                bench::prefixModeFlag(prefix_mode),
+            },
+            bench::prefixMixFlags(mix), bench::chunkFlags(chunk),
+            bench::specFlags(spec), bench::obsFlags(opt))};
+    bench::parseFlags(argc, argv, table);
 
     bench::banner(
         "Fleet capacity", "cost crossover as fleet composition",
@@ -451,32 +423,32 @@ main(int argc, char **argv)
     if (kv_mode == serve::KvMode::Paged)
         std::cout << "KV discipline: paged (headroom admission, "
                      "recompute preemption)\n\n";
-    if (copt.mode != serve::ChunkMode::Off)
+    if (chunk.mode != serve::ChunkMode::Off)
         std::cout << "chunked prefill: "
-                  << serve::chunkModeName(copt.mode) << " priority, "
-                  << copt.chunkTokens << "-token slices\n\n";
-    if (sopt.enabled)
-        std::cout << "speculative decoding: k=" << sopt.draftTokens
+                  << serve::chunkModeName(chunk.mode) << " priority, "
+                  << chunk.chunkTokens << "-token slices\n\n";
+    if (spec.enabled)
+        std::cout << "speculative decoding: k=" << spec.draftTokens
                   << " drafts, cost ratio "
-                  << fmt(sopt.draftCostRatio, 2) << ", acceptance "
-                  << fmt(sopt.acceptProb, 2) << "\n\n";
+                  << fmt(spec.draftCostRatio, 2) << ", acceptance "
+                  << fmt(spec.acceptProb, 2) << "\n\n";
 
     const std::vector<double> rates = {0.25, 0.5, 1.0, 2.0,
                                        4.0, 8.0};
     std::cout << "--- paper SLO: TTFT 2 s ---\n";
-    sweep(2.0, rates, kv_mode, copt, sopt);
+    sweep(2.0, rates, kv_mode, chunk, spec);
     std::cout << "--- tightened SLO: TTFT 0.5 s (crossover moves "
                  "toward the GPU) ---\n";
-    sweep(0.5, rates, kv_mode, copt, sopt);
+    sweep(0.5, rates, kv_mode, chunk, spec);
 
-    if (popt.mode != serve::PrefixMode::Off)
-        prefixComparison(popt);
+    if (prefix_mode != serve::PrefixMode::Off)
+        prefixComparison(prefix_mode, mix);
 
-    if (copt.mode != serve::ChunkMode::Off)
-        chunkedComparison(copt);
+    if (chunk.mode != serve::ChunkMode::Off)
+        chunkedComparison(chunk);
 
-    if (sopt.enabled)
-        specComparison(sopt);
+    if (spec.enabled)
+        specComparison(spec);
 
     if (opt.trace)
         traceRepresentativeRun(opt);

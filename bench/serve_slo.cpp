@@ -14,15 +14,17 @@
  * retries, sheds, and downtime, plus the JSON event timeline.
  */
 
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util.hh"
 #include "cost/pricing.hh"
 #include "fault/schedule.hh"
+#include "fleet/presets.hh"
 #include "obs/chrome_export.hh"
 #include "obs/trace.hh"
 #include "serve/serving.hh"
@@ -31,49 +33,11 @@
 
 using namespace cllm;
 using namespace cllm::serve;
-using bench::serveDeployParams;
 using bench::serveSeedWorkload;
 using bench::sharedBackend;
+using fleet::serveDeployParams;
 
 namespace {
-
-void
-usage(std::ostream &os)
-{
-    os << "usage: serve_slo [--faults [seed]] [--kv-sweep] "
-          "[--prefix-sweep] [--chunk-sweep] [--spec-sweep] "
-          "[--trace [path]] [--metrics-out path]\n\n"
-          "  --faults [seed]     run the resilience experiment "
-          "(seeded fault schedule\n"
-          "                      against a TDX deployment) instead of "
-          "the SLO sweep;\n"
-          "                      seed defaults to 1\n"
-          "  --kv-sweep          run the paged-vs-reserved KV "
-          "discipline sweep (fixed\n"
-          "                      pool sizes; recompute and "
-          "swap-to-EPC preemption)\n"
-          "  --prefix-sweep      run the prefix-caching sweep "
-          "(off/per_tenant/global\n"
-          "                      sharing on a shared-system-prompt "
-          "mix; TTFT and\n"
-          "                      $/1k-token deltas); honours the "
-          "--prefix-* mix flags\n"
-          "  --chunk-sweep       run the chunked-prefill sweep "
-          "(monolithic baseline vs\n"
-          "                      64..512-token slices; TTFT/ITL "
-          "percentiles, max\n"
-          "                      single-step prefill tokens, "
-          "$/1k-token deltas)\n"
-          "  --spec-sweep        run the speculative-decoding sweep "
-          "(draft depth k = 1..8\n"
-          "                      vs a non-speculative baseline; "
-          "accepted length,\n"
-          "                      verify steps, ITL percentiles, "
-          "$/1k-token deltas);\n"
-          "                      honours --spec-ratio / --spec-accept\n"
-       << bench::prefixUsage() << bench::chunkUsage()
-       << bench::specUsage() << bench::obsUsage();
-}
 
 /** Export the recorded trace and report where it went. */
 void
@@ -85,6 +49,83 @@ finishTrace(const obs::Tracer &tracer, const bench::ObsOptions &opt)
     std::cout << "wrote trace: " << out << " ("
               << tracer.simEvents().size() << " events)\n";
 }
+
+/**
+ * The TDX deployment the prefix, chunk and spec sweeps replay their
+ * trace on: Llama2-7B bf16 over a paged pool of 2560 blocks x 16
+ * tokens, one trace lane per run, billed at the spot $/hr so a
+ * latency shift prices out as a $/1k-token delta.
+ */
+class PagedTdxSweep
+{
+  public:
+    static constexpr unsigned kPoolBlocks = 2560;
+    static constexpr unsigned kBlockTokens = 16;
+
+    explicit PagedTdxSweep(const bench::ObsOptions &opt)
+        : opt_(opt), tracer_(opt.trace ? obs::TraceMode::Sim
+                                       : obs::TraceMode::Off)
+    {
+    }
+
+    /** The base config every run of the sweep starts from. */
+    ServerConfig
+    config() const
+    {
+        ServerConfig cfg;
+        cfg.policy = BatchPolicy::Continuous;
+        cfg.kvBlocks = kPoolBlocks;
+        cfg.kvBlockTokens = kBlockTokens;
+        bench::applyPagedKv(cfg, model_);
+        return cfg;
+    }
+
+    /** Replay `trace` under `cfg` on the next trace lane. */
+    ServeMetrics
+    run(ServerConfig cfg, const std::string &lane_name,
+        const std::vector<Request> &trace)
+    {
+        if (opt_.trace) {
+            cfg.tracer = &tracer_;
+            cfg.traceLane = lane_;
+            tracer_.laneName(lane_, lane_name);
+        }
+        ++lane_;
+        Server server(makeCpuStepModel(cpu_,
+                                       sharedBackend(tee::makeTdx()),
+                                       model_, deploy_),
+                      cfg);
+        return server.run(trace);
+    }
+
+    /** $/1k generated tokens of one run at the spot node price. */
+    double
+    usdPer1k(const ServeMetrics &m) const
+    {
+        return cost::costPer1kTokens(
+            m.outputTokens, cost::nodeSecondsUsd(instanceHr_, m.makespan));
+    }
+
+    /** Export the trace (under --trace) and the registry snapshot. */
+    int
+    finish() const
+    {
+        if (opt_.trace)
+            finishTrace(tracer_, opt_);
+        bench::writeMetricsSnapshot(opt_.metricsOut);
+        return 0;
+    }
+
+  private:
+    const bench::ObsOptions &opt_;
+    const hw::CpuSpec cpu_ = hw::emr2();
+    const llm::ModelConfig model_ = llm::llama2_7b();
+    const llm::RunParams deploy_ = serveDeployParams(cpu_);
+    const double instanceHr_ = cost::cpuInstanceHr(
+        cost::gcpSpotUsEast1(), deploy_.cores, 256.0);
+    obs::Tracer tracer_;
+    std::uint32_t lane_ = 0;
+};
 
 int
 runFaultMode(std::uint64_t fault_seed, const bench::ObsOptions &opt)
@@ -248,34 +289,22 @@ runKvSweepMode(const bench::ObsOptions &opt)
 }
 
 int
-runPrefixSweepMode(const bench::PrefixOptions &popt,
+runPrefixSweepMode(const SharedPrefixMix &mix,
                    const bench::ObsOptions &opt)
 {
     std::cout << "=== Prefix caching: radix-tree KV reuse on a TDX "
                  "deployment ===\n";
     std::cout << "Llama2-7B bf16, paged KV (2560 blocks x 16 "
                  "tokens); shared-system-prompt mix:\n"
-              << popt.mix.tenants << " tenants, "
-              << popt.mix.promptsPerTenant << " prompts/tenant, "
-              << popt.mix.prefixLen << "-token shared prefixes, "
-              << fmtPct(100.0 * popt.mix.sharedFraction)
+              << mix.tenants << " tenants, "
+              << mix.promptsPerTenant << " prompts/tenant, "
+              << mix.prefixLen << "-token shared prefixes, "
+              << fmtPct(100.0 * mix.sharedFraction)
               << " of requests shared\n\n";
 
-    const hw::CpuSpec cpu = hw::emr2();
-    const llm::ModelConfig model = llm::llama2_7b();
-    const llm::RunParams deploy = serveDeployParams(cpu);
-
     std::vector<Request> base = generateWorkload(serveSeedWorkload());
-    applySharedPrefixMix(base, popt.mix);
-
-    // Spot-priced node bill, so the prefill seconds a cache hit
-    // saves show up as a $/1k-token delta.
-    const double instance_hr = cost::cpuInstanceHr(
-        cost::gcpSpotUsEast1(), deploy.cores, 256.0);
-
-    obs::Tracer tracer(opt.trace ? obs::TraceMode::Sim
-                                 : obs::TraceMode::Off);
-    std::uint32_t lane = 0;
+    applySharedPrefixMix(base, mix);
+    PagedTdxSweep sweep(opt);
 
     struct Run
     {
@@ -293,28 +322,10 @@ runPrefixSweepMode(const bench::PrefixOptions &popt,
     Table t({"prefix mode", "hit rate", "prefill tok", "TTFT p50 [s]",
              "TTFT p95 [s]", "tok/s", "$/1k tok"});
     for (Run &run : runs) {
-        ServerConfig cfg;
-        cfg.policy = BatchPolicy::Continuous;
-        cfg.kvBlocks = 2560;
-        cfg.kvBlockTokens = 16;
-        cfg.kvMode = KvMode::Paged;
-        cfg.paged.kvBytesPerToken =
-            model.kvBytesPerToken(hw::Dtype::Bf16);
+        ServerConfig cfg = sweep.config();
         cfg.prefixMode = run.mode;
-        if (opt.trace) {
-            cfg.tracer = &tracer;
-            cfg.traceLane = lane;
-            tracer.laneName(lane, std::string("prefix ") + run.name);
-        }
-        ++lane;
-        Server server(
-            makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()),
-                             model, deploy),
-            cfg);
-        run.m = server.run(base);
-        run.usdPer1k = cost::costPer1kTokens(
-            run.m.outputTokens,
-            cost::nodeSecondsUsd(instance_hr, run.m.makespan));
+        run.m = sweep.run(cfg, std::string("prefix ") + run.name, base);
+        run.usdPer1k = sweep.usdPer1k(run.m);
         const std::size_t matches =
             run.m.prefixHits + run.m.prefixMisses;
         t.addRow({run.name,
@@ -332,11 +343,11 @@ runPrefixSweepMode(const bench::PrefixOptions &popt,
     std::cout << "\nprefix sweep (JSON):\n";
     JsonWriter json(std::cout);
     json.beginObject();
-    json.field("pool_blocks", 2560);
-    json.field("block_tokens", 16);
-    json.field("tenants", popt.mix.tenants);
-    json.field("prefix_len", popt.mix.prefixLen);
-    json.field("shared_fraction", popt.mix.sharedFraction);
+    json.field("pool_blocks", PagedTdxSweep::kPoolBlocks);
+    json.field("block_tokens", PagedTdxSweep::kBlockTokens);
+    json.field("tenants", mix.tenants);
+    json.field("prefix_len", mix.prefixLen);
+    json.field("shared_fraction", mix.sharedFraction);
     json.key("runs");
     json.beginArray();
     for (const Run &run : runs) {
@@ -369,11 +380,7 @@ runPrefixSweepMode(const bench::PrefixOptions &popt,
     json.endArray();
     json.endObject();
     std::cout << "\n";
-
-    if (opt.trace)
-        finishTrace(tracer, opt);
-    bench::writeMetricsSnapshot(opt.metricsOut);
-    return 0;
+    return sweep.finish();
 }
 
 int
@@ -385,20 +392,9 @@ runChunkSweepMode(const bench::ObsOptions &opt)
                  "tokens); monolithic\nbaseline vs decode-priority "
                  "chunking at 64..512-token slices\n\n";
 
-    const hw::CpuSpec cpu = hw::emr2();
-    const llm::ModelConfig model = llm::llama2_7b();
-    const llm::RunParams deploy = serveDeployParams(cpu);
     const std::vector<Request> base =
         generateWorkload(serveSeedWorkload());
-
-    // Spot-priced node bill so the latency shift prices out as a
-    // $/1k-token delta, mirroring the prefix sweep.
-    const double instance_hr = cost::cpuInstanceHr(
-        cost::gcpSpotUsEast1(), deploy.cores, 256.0);
-
-    obs::Tracer tracer(opt.trace ? obs::TraceMode::Sim
-                                 : obs::TraceMode::Off);
-    std::uint32_t lane = 0;
+    PagedTdxSweep sweep(opt);
 
     struct Run
     {
@@ -415,31 +411,13 @@ runChunkSweepMode(const bench::ObsOptions &opt)
     Table t({"schedule", "max step pf", "TTFT p50 [s]", "TTFT p99 [s]",
              "ITL p50 [ms]", "ITL p99 [ms]", "tok/s", "$/1k tok"});
     for (Run &run : runs) {
-        ServerConfig cfg;
-        cfg.policy = BatchPolicy::Continuous;
-        cfg.kvBlocks = 2560;
-        cfg.kvBlockTokens = 16;
-        cfg.kvMode = KvMode::Paged;
-        cfg.paged.kvBytesPerToken =
-            model.kvBytesPerToken(hw::Dtype::Bf16);
+        ServerConfig cfg = sweep.config();
         if (run.chunkTokens) {
             cfg.chunkedPrefill.mode = ChunkMode::DecodePriority;
             cfg.chunkedPrefill.chunkTokens = run.chunkTokens;
         }
-        if (opt.trace) {
-            cfg.tracer = &tracer;
-            cfg.traceLane = lane;
-            tracer.laneName(lane, "chunk " + run.name);
-        }
-        ++lane;
-        Server server(
-            makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()),
-                             model, deploy),
-            cfg);
-        run.m = server.run(base);
-        run.usdPer1k = cost::costPer1kTokens(
-            run.m.outputTokens,
-            cost::nodeSecondsUsd(instance_hr, run.m.makespan));
+        run.m = sweep.run(cfg, "chunk " + run.name, base);
+        run.usdPer1k = sweep.usdPer1k(run.m);
         t.addRow({run.name, fmtInt(run.m.maxStepPrefillTokens),
                   fmt(run.m.ttft.p50, 3), fmt(run.m.ttft.p99, 3),
                   fmt(1e3 * run.m.itl.p50, 1),
@@ -453,8 +431,8 @@ runChunkSweepMode(const bench::ObsOptions &opt)
     std::cout << "\nchunk sweep (JSON):\n";
     JsonWriter json(std::cout);
     json.beginObject();
-    json.field("pool_blocks", 2560);
-    json.field("block_tokens", 16);
+    json.field("pool_blocks", PagedTdxSweep::kPoolBlocks);
+    json.field("block_tokens", PagedTdxSweep::kBlockTokens);
     json.field("mode", std::string("decode"));
     json.key("runs");
     json.beginArray();
@@ -488,15 +466,11 @@ runChunkSweepMode(const bench::ObsOptions &opt)
     json.endArray();
     json.endObject();
     std::cout << "\n";
-
-    if (opt.trace)
-        finishTrace(tracer, opt);
-    bench::writeMetricsSnapshot(opt.metricsOut);
-    return 0;
+    return sweep.finish();
 }
 
 int
-runSpecSweepMode(const bench::SpecOptions &sopt,
+runSpecSweepMode(const SpecDecodePolicy &spec,
                  const bench::ObsOptions &opt)
 {
     std::cout << "=== Speculative decoding: amortizing per-step TEE "
@@ -504,27 +478,16 @@ runSpecSweepMode(const bench::SpecOptions &sopt,
     std::cout << "Llama2-7B bf16 on TDX, paged KV (2560 blocks x 16 "
                  "tokens); non-speculative\nbaseline vs draft depth "
                  "k = 1..8 (draft cost ratio "
-              << fmt(sopt.draftCostRatio, 2) << ", acceptance "
-              << fmt(sopt.acceptProb, 2) << ")\n\n";
+              << fmt(spec.draftCostRatio, 2) << ", acceptance "
+              << fmt(spec.acceptProb, 2) << ")\n\n";
 
-    const hw::CpuSpec cpu = hw::emr2();
-    const llm::ModelConfig model = llm::llama2_7b();
-    const llm::RunParams deploy = serveDeployParams(cpu);
     // The seed trace backed off to 0.40 req/s: at 0.45 the queue is
     // saturated enough that monolithic-prefill stalls, not decode
     // cadence, set the ITL tail, and deep drafts cannot shift it.
     WorkloadConfig load = serveSeedWorkload();
     load.arrivalRate = 0.40;
     const std::vector<Request> base = generateWorkload(load);
-
-    // Spot-priced node bill so fewer target steps price out as a
-    // $/1k-token delta, mirroring the chunk sweep.
-    const double instance_hr = cost::cpuInstanceHr(
-        cost::gcpSpotUsEast1(), deploy.cores, 256.0);
-
-    obs::Tracer tracer(opt.trace ? obs::TraceMode::Sim
-                                 : obs::TraceMode::Off);
-    std::uint32_t lane = 0;
+    PagedTdxSweep sweep(opt);
 
     struct Run
     {
@@ -541,33 +504,14 @@ runSpecSweepMode(const bench::SpecOptions &sopt,
     Table t({"run", "target steps", "mean acc len", "ITL p50 [ms]",
              "ITL p99 [ms]", "tok/s", "$/1k tok"});
     for (Run &run : runs) {
-        ServerConfig cfg;
-        cfg.policy = BatchPolicy::Continuous;
-        cfg.kvBlocks = 2560;
-        cfg.kvBlockTokens = 16;
-        cfg.kvMode = KvMode::Paged;
-        cfg.paged.kvBytesPerToken =
-            model.kvBytesPerToken(hw::Dtype::Bf16);
+        ServerConfig cfg = sweep.config();
         if (run.draftTokens) {
-            bench::SpecOptions per_k = sopt;
-            per_k.enabled = true;
-            per_k.draftTokens = run.draftTokens;
-            bench::applySpecDecode(cfg, per_k);
+            cfg.specDecode = spec;
+            cfg.specDecode.enabled = true;
+            cfg.specDecode.draftTokens = run.draftTokens;
         }
-        if (opt.trace) {
-            cfg.tracer = &tracer;
-            cfg.traceLane = lane;
-            tracer.laneName(lane, "spec " + run.name);
-        }
-        ++lane;
-        Server server(
-            makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()),
-                             model, deploy),
-            cfg);
-        run.m = server.run(base);
-        run.usdPer1k = cost::costPer1kTokens(
-            run.m.outputTokens,
-            cost::nodeSecondsUsd(instance_hr, run.m.makespan));
+        run.m = sweep.run(cfg, "spec " + run.name, base);
+        run.usdPer1k = sweep.usdPer1k(run.m);
         // Per-sequence verify cycles end in a bonus token or a
         // rejection resample, so their sum counts cycles.
         const std::uint64_t cycles =
@@ -590,10 +534,10 @@ runSpecSweepMode(const bench::SpecOptions &sopt,
     std::cout << "\nspec sweep (JSON):\n";
     JsonWriter json(std::cout);
     json.beginObject();
-    json.field("pool_blocks", 2560);
-    json.field("block_tokens", 16);
-    json.field("draft_cost_ratio", sopt.draftCostRatio);
-    json.field("accept_prob", sopt.acceptProb);
+    json.field("pool_blocks", PagedTdxSweep::kPoolBlocks);
+    json.field("block_tokens", PagedTdxSweep::kBlockTokens);
+    json.field("draft_cost_ratio", spec.draftCostRatio);
+    json.field("accept_prob", spec.acceptProb);
     json.key("runs");
     json.beginArray();
     for (const Run &run : runs) {
@@ -631,16 +575,11 @@ runSpecSweepMode(const bench::SpecOptions &sopt,
     json.endArray();
     json.endObject();
     std::cout << "\n";
-
-    if (opt.trace)
-        finishTrace(tracer, opt);
-    bench::writeMetricsSnapshot(opt.metricsOut);
-    return 0;
+    return sweep.finish();
 }
 
 int
-runSloMode(const bench::ChunkOptions &copt,
-           const bench::SpecOptions &sopt,
+runSloMode(const ChunkedPrefillPolicy &chunk, const SpecDecodePolicy &spec,
            const bench::ObsOptions &opt)
 {
     std::cout << "=== Serving extension: SLO attainment under TEEs "
@@ -653,24 +592,35 @@ runSloMode(const bench::ChunkOptions &copt,
     const llm::RunParams deploy = serveDeployParams(cpu);
     const WorkloadConfig load = serveSeedWorkload();
 
+    // Each run builds a fresh step model from its row's factory.
     struct Deployment
     {
-        std::string name;
-        std::unique_ptr<StepModel> step;
+        const char *name;
+        std::function<std::unique_ptr<StepModel>()> makeStep;
     };
-    std::vector<Deployment> deployments;
-    deployments.push_back(
-        {"CPU bare", makeCpuStepModel(cpu, sharedBackend(tee::makeBareMetal()),
-                                      model, deploy)});
-    deployments.push_back(
-        {"CPU TDX", makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()), model,
-                                     deploy)});
-    deployments.push_back(
-        {"GPU raw", makeGpuStepModel(hw::h100Nvl(), false, model,
-                                     hw::Dtype::Bf16)});
-    deployments.push_back(
-        {"cGPU", makeGpuStepModel(hw::h100Nvl(), true, model,
-                                  hw::Dtype::Bf16)});
+    const Deployment deployments[] = {
+        {"CPU bare",
+         [&] {
+             return makeCpuStepModel(
+                 cpu, sharedBackend(tee::makeBareMetal()), model,
+                 deploy);
+         }},
+        {"CPU TDX",
+         [&] {
+             return makeCpuStepModel(cpu, sharedBackend(tee::makeTdx()),
+                                     model, deploy);
+         }},
+        {"GPU raw",
+         [&] {
+             return makeGpuStepModel(hw::h100Nvl(), false, model,
+                                     hw::Dtype::Bf16);
+         }},
+        {"cGPU",
+         [&] {
+             return makeGpuStepModel(hw::h100Nvl(), true, model,
+                                     hw::Dtype::Bf16);
+         }},
+    };
 
     // One trace lane per (policy, deployment) run.
     obs::Tracer tracer(opt.trace ? obs::TraceMode::Sim
@@ -683,16 +633,15 @@ runSloMode(const bench::ChunkOptions &copt,
                   << " batching ---\n";
         Table t({"deployment", "tok/s", "TTFT p50 [s]", "TTFT p95 [s]",
                  "TPOT p95 [ms]", "SLO attainment", "avg batch"});
-        for (auto &d : deployments) {
+        for (const Deployment &d : deployments) {
             ServerConfig cfg;
             cfg.policy = policy;
             // Chunked prefill and speculative decoding require
             // continuous batching; the static-batch rows stay
             // monolithic and non-speculative.
             if (policy == BatchPolicy::Continuous) {
-                bench::applyChunkedPrefill(cfg, copt);
-                if (sopt.enabled)
-                    bench::applySpecDecode(cfg, sopt);
+                cfg.chunkedPrefill = chunk;
+                cfg.specDecode = spec;
             }
             if (opt.trace) {
                 cfg.tracer = &tracer;
@@ -702,19 +651,7 @@ runSloMode(const bench::ChunkOptions &copt,
                                           " / " + d.name);
             }
             ++lane;
-            // Re-create the step models per run is unnecessary; Server
-            // borrows, so build a fresh server around the same model.
-            Server server(
-                d.name.rfind("CPU", 0) == 0
-                    ? makeCpuStepModel(
-                          cpu,
-                          sharedBackend(d.name == "CPU TDX"
-                                     ? tee::makeTdx()
-                                     : tee::makeBareMetal()),
-                          model, deploy)
-                    : makeGpuStepModel(hw::h100Nvl(), d.name == "cGPU",
-                                       model, hw::Dtype::Bf16),
-                cfg);
+            Server server(d.makeStep(), cfg);
             const ServeMetrics m = server.run(generateWorkload(load));
             t.addRow({d.name, fmt(m.tokensPerSecond),
                       fmt(m.ttft.p50, 2), fmt(m.ttft.p95, 2),
@@ -737,65 +674,62 @@ int
 main(int argc, char **argv)
 {
     bench::ObsOptions opt;
-    bench::PrefixOptions popt;
-    bench::ChunkOptions copt;
-    bench::SpecOptions sopt;
+    SharedPrefixMix mix;
+    ChunkedPrefillPolicy chunk;
+    SpecDecodePolicy spec;
     bool fault_mode = false;
     bool kv_sweep = false;
     bool prefix_sweep = false;
     bool chunk_sweep = false;
     bool spec_sweep = false;
     std::uint64_t fault_seed = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            usage(std::cout);
-            return 0;
-        }
-        if (std::strcmp(argv[i], "--faults") == 0) {
-            fault_mode = true;
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                fault_seed = std::strtoull(argv[++i], nullptr, 10);
-            continue;
-        }
-        if (std::strcmp(argv[i], "--kv-sweep") == 0) {
-            kv_sweep = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--prefix-sweep") == 0) {
-            prefix_sweep = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--chunk-sweep") == 0) {
-            chunk_sweep = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--spec-sweep") == 0) {
-            spec_sweep = true;
-            continue;
-        }
-        if (bench::parsePrefixArg(popt, argc, argv, i))
-            continue;
-        if (bench::parseChunkArg(copt, argc, argv, i))
-            continue;
-        if (bench::parseSpecArg(sopt, argc, argv, i))
-            continue;
-        if (bench::parseObsArg(opt, argc, argv, i))
-            continue;
-        std::cerr << "serve_slo: unknown argument '" << argv[i]
-                  << "'\n";
-        usage(std::cerr);
-        return 2;
-    }
+    const bench::FlagTable table{
+        "usage: serve_slo [--faults [seed]] [--kv-sweep] "
+        "[--prefix-sweep] [--chunk-sweep] [--spec-sweep] "
+        "[--trace [path]] [--metrics-out path]\n\n",
+        bench::joinFlags(
+            {
+                {"--faults", "[seed]",
+                 "run the resilience experiment (seeded fault schedule\n"
+                 "against a TDX deployment) instead of the SLO sweep;\n"
+                 "seed defaults to 1",
+                 &fault_seed, {}, &fault_mode},
+                {"--kv-sweep", "",
+                 "run the paged-vs-reserved KV discipline sweep (fixed\n"
+                 "pool sizes; recompute and swap-to-EPC preemption)",
+                 &kv_sweep},
+                {"--prefix-sweep", "",
+                 "run the prefix-caching sweep (off/per_tenant/global\n"
+                 "sharing on a shared-system-prompt mix; TTFT and\n"
+                 "$/1k-token deltas); honours the --prefix-* mix flags",
+                 &prefix_sweep},
+                {"--chunk-sweep", "",
+                 "run the chunked-prefill sweep (monolithic baseline "
+                 "vs\n"
+                 "64..512-token slices; TTFT/ITL percentiles, max\n"
+                 "single-step prefill tokens, $/1k-token deltas)",
+                 &chunk_sweep},
+                {"--spec-sweep", "",
+                 "run the speculative-decoding sweep (draft depth k = "
+                 "1..8\n"
+                 "vs a non-speculative baseline; accepted length,\n"
+                 "verify steps, ITL percentiles, $/1k-token deltas);\n"
+                 "honours --spec-ratio / --spec-accept",
+                 &spec_sweep},
+            },
+            bench::prefixMixFlags(mix), bench::chunkFlags(chunk),
+            bench::specFlags(spec), bench::obsFlags(opt))};
+    bench::parseFlags(argc, argv, table);
+
     if (fault_mode)
         return runFaultMode(fault_seed, opt);
     if (kv_sweep)
         return runKvSweepMode(opt);
     if (prefix_sweep)
-        return runPrefixSweepMode(popt, opt);
+        return runPrefixSweepMode(mix, opt);
     if (chunk_sweep)
         return runChunkSweepMode(opt);
     if (spec_sweep)
-        return runSpecSweepMode(sopt, opt);
-    return runSloMode(copt, sopt, opt);
+        return runSpecSweepMode(spec, opt);
+    return runSloMode(chunk, spec, opt);
 }

@@ -16,11 +16,11 @@
  *                                      shape of the shared-prompt mix
  */
 
-#include <cstring>
 #include <iostream>
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "fleet/presets.hh"
 #include "serve/serving.hh"
 #include "util/table.hh"
 
@@ -34,15 +34,13 @@ replay(const std::vector<Request> &trace, PrefixMode mode)
 {
     const hw::CpuSpec cpu = hw::emr2();
     const llm::ModelConfig model = llm::llama2_7b();
-    llm::RunParams deploy = bench::serveDeployParams(cpu);
+    const llm::RunParams deploy = fleet::serveDeployParams(cpu);
 
     ServerConfig cfg;
     cfg.policy = BatchPolicy::Continuous;
     cfg.kvBlocks = 2560;
     cfg.kvBlockTokens = 16;
-    cfg.kvMode = KvMode::Paged;
-    cfg.paged.kvBytesPerToken =
-        model.kvBytesPerToken(hw::Dtype::Bf16);
+    bench::applyPagedKv(cfg, model);
     cfg.prefixMode = mode;
 
     Server server(
@@ -57,40 +55,33 @@ replay(const std::vector<Request> &trace, PrefixMode mode)
 int
 main(int argc, char **argv)
 {
-    bench::PrefixOptions opt;
-    opt.mode = PrefixMode::PerTenant;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            std::cout << "usage: prefix_serving [options]\n\n"
-                      << bench::prefixUsage();
-            return 0;
-        }
-        if (bench::parsePrefixArg(opt, argc, argv, i))
-            continue;
-        std::cerr << "unknown argument: " << argv[i] << "\n";
-        return 1;
-    }
+    PrefixMode mode = PrefixMode::PerTenant;
+    SharedPrefixMix mix;
+    bench::parseFlags(
+        argc, argv,
+        {"usage: prefix_serving [options]\n\n",
+         bench::joinFlags({bench::prefixModeFlag(mode)},
+                          bench::prefixMixFlags(mix))});
 
     // The shared-system-prompt mix: a few tenants, each fronting
     // most of its requests with a fixed couple-hundred-token prompt.
     std::vector<Request> trace =
         generateWorkload(bench::serveSeedWorkload());
-    applySharedPrefixMix(trace, opt.mix);
+    applySharedPrefixMix(trace, mix);
 
     std::cout << "Prefix caching on a TDX instance (Llama2-7B "
                  "bf16, paged KV)\n";
-    std::cout << opt.mix.tenants << " tenants, "
-              << opt.mix.prefixLen
+    std::cout << mix.tenants << " tenants, "
+              << mix.prefixLen
               << "-token shared system prompts, "
-              << fmtPct(100.0 * opt.mix.sharedFraction)
+              << fmtPct(100.0 * mix.sharedFraction)
               << " of requests shared\n\n";
 
     const ServeMetrics off = replay(trace, PrefixMode::Off);
     const ServeMetrics on =
-        opt.mode == PrefixMode::Off
+        mode == PrefixMode::Off
             ? off
-            : replay(trace, opt.mode);
+            : replay(trace, mode);
 
     Table t({"prefix cache", "completed", "output tok",
              "prefill tok computed", "TTFT p50 [s]",
@@ -100,14 +91,14 @@ main(int argc, char **argv)
               fmtInt(off.prefillTokensComputed),
               fmt(off.ttft.p50, 3), fmt(off.ttft.p95, 3),
               fmt(off.tokensPerSecond)});
-    t.addRow({prefixModeName(opt.mode), fmtInt(on.completed),
+    t.addRow({prefixModeName(mode), fmtInt(on.completed),
               fmtInt(on.outputTokens),
               fmtInt(on.prefillTokensComputed),
               fmt(on.ttft.p50, 3), fmt(on.ttft.p95, 3),
               fmt(on.tokensPerSecond)});
     t.print(std::cout);
 
-    if (opt.mode != PrefixMode::Off) {
+    if (mode != PrefixMode::Off) {
         const std::size_t matches = on.prefixHits + on.prefixMisses;
         std::cout << "\nradix cache: " << fmtInt(on.prefixHits)
                   << " hits / " << fmtInt(matches) << " admissions ("

@@ -5,11 +5,8 @@
 
 namespace cllm::fleet {
 
-namespace {
-
-// The serving studies' deployment shape (see bench/serve_slo).
 llm::RunParams
-deployParams(const hw::CpuSpec &cpu)
+serveDeployParams(const hw::CpuSpec &cpu)
 {
     llm::RunParams p;
     p.inLen = 1024;
@@ -20,14 +17,12 @@ deployParams(const hw::CpuSpec &cpu)
     return p;
 }
 
-} // namespace
-
 NodeTemplate
 cpuTdxNode()
 {
     const hw::CpuSpec cpu = hw::emr2();
     const llm::ModelConfig model = llm::llama2_7b();
-    const llm::RunParams deploy = deployParams(cpu);
+    const llm::RunParams deploy = serveDeployParams(cpu);
 
     NodeTemplate t;
     t.name = "cpu-tdx";

@@ -14,6 +14,10 @@
 
 namespace cllm::fleet {
 
+/** The serving studies' deployment shape on `cpu`: 1024 in / 256
+ *  out, batch 32, one socket. */
+llm::RunParams serveDeployParams(const hw::CpuSpec &cpu);
+
 /** EMR2 × TDX × Llama2-7B, GCP us-east1 spot priced. */
 NodeTemplate cpuTdxNode();
 

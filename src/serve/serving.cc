@@ -27,7 +27,8 @@ arrivalProcessName(ArrivalProcess p)
 std::vector<Request>
 generateWorkload(const WorkloadConfig &cfg)
 {
-    if (cfg.arrivalRate <= 0.0 || cfg.numRequests == 0)
+    // Range checks are written !(in range) so a NaN fails them.
+    if (!(cfg.arrivalRate > 0.0) || cfg.numRequests == 0)
         cllm_fatal("generateWorkload: degenerate workload");
     if (cfg.process == ArrivalProcess::BurstyOnOff &&
         (cfg.burstRateFactor <= 0.0 || cfg.idleRateFactor <= 0.0 ||
@@ -444,6 +445,7 @@ validate(const ServerConfig &cfg, const char *who)
 {
     // Features that react at step granularity cannot run on a static
     // batch; the engine rejects static policy outright on its own.
+    // Range checks are written !(in range) so a NaN fails them.
     const bool is_static = cfg.policy == BatchPolicy::Static;
     if (cfg.maxBatch == 0)
         cllm_fatal(who, ": zero batch capacity");
@@ -451,15 +453,15 @@ validate(const ServerConfig &cfg, const char *who)
         if (is_static)
             cllm_fatal(who, ": fault injection requires continuous "
                             "batching");
-        if (cfg.resilience.retryBackoff <= 0.0)
+        if (!(cfg.resilience.retryBackoff > 0.0))
             cllm_fatal(who, ": fault injection requires a positive "
                             "retry backoff");
     }
-    if (cfg.resilience.backoffMultiplier < 1.0)
+    if (!(cfg.resilience.backoffMultiplier >= 1.0))
         cllm_fatal(who, ": backoff multiplier below 1");
     if (cfg.resilience.shedOnKvPressure &&
-        (cfg.resilience.shedThreshold <= 0.0 ||
-         cfg.resilience.shedThreshold > 1.0))
+        !(cfg.resilience.shedThreshold > 0.0 &&
+          cfg.resilience.shedThreshold <= 1.0))
         cllm_fatal(who, ": shed threshold outside (0, 1]");
     if (cfg.kvMode == KvMode::Paged) {
         if (is_static)
@@ -495,11 +497,11 @@ validate(const ServerConfig &cfg, const char *who)
         if (cfg.specDecode.draftTokens == 0)
             cllm_fatal(who, ": speculative decoding with zero draft "
                             "tokens");
-        if (cfg.specDecode.draftCostRatio <= 0.0 ||
-            cfg.specDecode.draftCostRatio >= 1.0)
+        if (!(cfg.specDecode.draftCostRatio > 0.0 &&
+              cfg.specDecode.draftCostRatio < 1.0))
             cllm_fatal(who, ": draft cost ratio outside (0, 1)");
-        if (cfg.specDecode.acceptProb < 0.0 ||
-            cfg.specDecode.acceptProb > 1.0)
+        if (!(cfg.specDecode.acceptProb >= 0.0 &&
+              cfg.specDecode.acceptProb <= 1.0))
             cllm_fatal(who, ": acceptance probability outside [0, 1]");
     }
 }

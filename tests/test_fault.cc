@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <sstream>
 
@@ -449,5 +450,7 @@ TEST(FaultServingDeath, FaultsRequirePositiveBackoff)
     ServerConfig cfg;
     cfg.faults = s;
     cfg.resilience.retryBackoff = 0.0;
+    EXPECT_DEATH(Server(tdxModel(), cfg), "backoff");
+    cfg.resilience.retryBackoff = std::nan("");
     EXPECT_DEATH(Server(tdxModel(), cfg), "backoff");
 }

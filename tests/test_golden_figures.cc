@@ -30,6 +30,7 @@
 #include "bench/bench_util.hh"
 #include "golden_util.hh"
 #include "core/experiment.hh"
+#include "fleet/presets.hh"
 #include "serve/serving.hh"
 #include "util/json.hh"
 
@@ -61,7 +62,7 @@ collectServe()
 {
     const hw::CpuSpec cpu = hw::emr2();
     const llm::ModelConfig model = llm::llama2_7b();
-    const llm::RunParams deploy = bench::serveDeployParams(cpu);
+    const llm::RunParams deploy = fleet::serveDeployParams(cpu);
     const WorkloadConfig load = bench::serveSeedWorkload();
 
     std::map<std::string, double> out;

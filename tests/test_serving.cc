@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
 
+#include "fleet/presets.hh"
 #include "obs/trace.hh"
 #include "serve/serving.hh"
 #include "util/json.hh"
@@ -29,24 +31,13 @@ shared(std::unique_ptr<tee::TeeBackend> p)
     return std::shared_ptr<const tee::TeeBackend>(std::move(p));
 }
 
-llm::RunParams
-deployParams(const hw::CpuSpec &cpu)
-{
-    llm::RunParams p;
-    p.inLen = 1024;  // sizing context for the working set
-    p.outLen = 256;
-    p.batch = 32;
-    p.sockets = 1;
-    p.cores = cpu.coresPerSocket;
-    return p;
-}
-
 std::unique_ptr<StepModel>
 cpuModel(std::unique_ptr<tee::TeeBackend> be)
 {
     const hw::CpuSpec cpu = hw::emr2();
     return makeCpuStepModel(cpu, shared(std::move(be)),
-                            llm::llama2_7b(), deployParams(cpu));
+                            llm::llama2_7b(),
+                            fleet::serveDeployParams(cpu));
 }
 
 WorkloadConfig
@@ -193,6 +184,8 @@ TEST(WorkloadDeath, DegenerateConfigFatal)
 {
     WorkloadConfig w;
     w.arrivalRate = 0.0;
+    EXPECT_DEATH(generateWorkload(w), "degenerate");
+    w.arrivalRate = std::nan("");
     EXPECT_DEATH(generateWorkload(w), "degenerate");
 }
 
@@ -578,10 +571,14 @@ TEST(ServerResilienceDeath, BadPolicyFatal)
     ServerConfig cfg;
     cfg.resilience.backoffMultiplier = 0.5;
     EXPECT_DEATH(Server(cpuModel(tee::makeTdx()), cfg), "multiplier");
+    cfg.resilience.backoffMultiplier = std::nan("");
+    EXPECT_DEATH(Server(cpuModel(tee::makeTdx()), cfg), "multiplier");
 
     ServerConfig shed;
     shed.resilience.shedOnKvPressure = true;
     shed.resilience.shedThreshold = 1.5;
+    EXPECT_DEATH(Server(cpuModel(tee::makeTdx()), shed), "threshold");
+    shed.resilience.shedThreshold = std::nan("");
     EXPECT_DEATH(Server(cpuModel(tee::makeTdx()), shed), "threshold");
 }
 

@@ -506,12 +506,17 @@ TEST(SpecDeath, DraftCostRatioOutsideUnitIntervalIsFatal)
     ServerConfig zero = specConfig(4);
     zero.specDecode.draftCostRatio = 0.0;
     EXPECT_DEATH(Server(cpuModel(), zero), "draft cost ratio");
+    ServerConfig nan = specConfig(4);
+    nan.specDecode.draftCostRatio = std::nan("");
+    EXPECT_DEATH(Server(cpuModel(), nan), "draft cost ratio");
 }
 
 TEST(SpecDeath, AcceptProbOutsideUnitIntervalIsFatal)
 {
     ServerConfig cfg = specConfig(4);
     cfg.specDecode.acceptProb = 1.5;
+    EXPECT_DEATH(Server(cpuModel(), cfg), "acceptance probability");
+    cfg.specDecode.acceptProb = std::nan("");
     EXPECT_DEATH(Server(cpuModel(), cfg), "acceptance probability");
 }
 
