@@ -35,6 +35,7 @@ writeFleetMetrics(JsonWriter &json, const FleetMetrics &m)
     json.field("timed_out", m.timedOut);
     json.field("failed", m.failed);
     json.field("restarts", m.restarts);
+    json.field("attest_rejections", m.attestRejections);
     json.field("fault_downtime_s", m.faultDowntime);
 
     json.key("node_timeline");
