@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the functional kernels backing
  * the runtime: GEMM, matvec (dense and int8-quantized), RMSNorm,
- * softmax, RoPE, and a full TinyLlama decode step. These measure the
- * host machine (not the simulated EMR targets) and exist to keep the
- * functional substrate honest and regression-tracked.
+ * softmax, RoPE, and a full TinyLlama decode step, plus the cost of
+ * one cllm::par dispatch against the work a chunk carries. These
+ * measure the host machine (not the simulated EMR targets) and exist
+ * to keep the functional substrate honest and regression-tracked.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 
 #include "llm/kernels.hh"
 #include "llm/runtime.hh"
+#include "par/pool.hh"
 #include "util/rng.hh"
 
 using namespace cllm;
@@ -179,6 +181,42 @@ BM_TinyLlamaDecodeStep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TinyLlamaDecodeStep);
+
+/**
+ * One parallelFor of four chunks, each a scalar dot product of
+ * range(1) multiply-adds, on a pool of range(0) threads. At width 1
+ * the chunks run inline, so the time difference to width 2 or 4 at
+ * the same work is what a dispatch costs or saves. The work at which
+ * the widths break even sizes par::kMinChunkWork.
+ */
+void
+BM_ParDispatch(benchmark::State &state)
+{
+    constexpr std::size_t kChunks = 4;
+    const auto threads = static_cast<unsigned>(state.range(0));
+    const auto work = static_cast<std::size_t>(state.range(1));
+    std::vector<float> a(kChunks * work, 0.5f), b(kChunks * work, 1.5f);
+    std::vector<float> out(kChunks);
+    par::setThreadCount(threads);
+    for (auto _ : state) {
+        par::parallelFor(0, kChunks, 1, [&](std::size_t c0,
+                                             std::size_t c1) {
+            for (std::size_t c = c0; c < c1; ++c) {
+                const float *x = a.data() + c * work;
+                const float *y = b.data() + c * work;
+                float acc = 0.0f;
+                for (std::size_t i = 0; i < work; ++i)
+                    acc += x[i] * y[i];
+                out[c] = acc;
+            }
+        });
+        benchmark::DoNotOptimize(out.data());
+    }
+    par::setThreadCount(0);
+    state.SetItemsProcessed(state.iterations() * kChunks * work);
+}
+BENCHMARK(BM_ParDispatch)
+    ->ArgsProduct({{1, 2, 4}, {0, 1 << 10, 1 << 12, 1 << 13, 1 << 14, 1 << 16}});
 
 } // namespace
 

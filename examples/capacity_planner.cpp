@@ -5,26 +5,53 @@
  * input/output lengths), sweep core counts on CPU TEEs and compare
  * against a confidential H100, reporting $/1M tokens and the cheapest
  * compliant deployment — Insight 11 in executable form.
+ *
+ * Usage: capacity_planner [batch [input_tokens]]   (default 4 128)
  */
 
+#include <cstring>
 #include <iostream>
 #include <limits>
 #include <string>
 
+#include "bench/bench_util.hh"
 #include "core/experiment.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 using namespace cllm;
 
+namespace {
+
+/** A positional operand: a whole number of at least 1. */
+unsigned
+positiveOperand(const char *name, const char *text)
+{
+    const unsigned v = bench::parseNumber<unsigned>(name, text);
+    if (v == 0)
+        cllm_fatal(name, " must be at least 1");
+    return v;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
-    unsigned batch = 4;
-    unsigned in_len = 128;
-    if (argc > 1)
-        batch = static_cast<unsigned>(std::stoul(argv[1]));
-    if (argc > 2)
-        in_len = static_cast<unsigned>(std::stoul(argv[2]));
+    constexpr const char *kUsage =
+        "usage: capacity_planner [batch [input_tokens]]\n";
+    if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
+                     std::strcmp(argv[1], "-h") == 0)) {
+        std::cout << kUsage;
+        return 0;
+    }
+    if (argc > 3) {
+        std::cerr << kUsage;
+        return 2;
+    }
+    const unsigned batch = argc > 1 ? positiveOperand("batch", argv[1]) : 4;
+    const unsigned in_len =
+        argc > 2 ? positiveOperand("input_tokens", argv[2]) : 128;
 
     core::Experiment exp;
     const hw::CpuSpec cpu = hw::emr2();

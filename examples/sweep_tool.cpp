@@ -2,23 +2,16 @@
  * @file
  * cllm sweep tool: a small CLI over the public API so deployments can
  * be explored without writing C++. Prints one row per configuration,
- * optionally as CSV.
- *
- * Usage:
- *   sweep_tool [--model 7b|13b|70b|llama3|gptj|falcon]
- *              [--machine emr1|emr2|spr]
- *              [--backend bare|vm|vmth|vmnb|sgx|tdx|all]
- *              [--dtype fp32|bf16|int8] [--batch N[,N...]]
- *              [--input N] [--output N] [--beam N]
- *              [--sockets N] [--cores N] [--no-amx] [--csv]
+ * optionally as CSV. `sweep_tool --help` lists the flags; a malformed
+ * or out-of-range operand is fatal and names the flag.
  */
 
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "core/experiment.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -27,14 +20,22 @@ using namespace cllm;
 
 namespace {
 
+/** `--batch N[,N...]`: every entry a whole number of at least 1. */
 std::vector<unsigned>
-parseList(const std::string &s)
+parseBatchList(const std::string &s)
 {
     std::vector<unsigned> out;
     std::stringstream ss(s);
     std::string item;
-    while (std::getline(ss, item, ','))
-        out.push_back(static_cast<unsigned>(std::stoul(item)));
+    while (std::getline(ss, item, ',')) {
+        const unsigned batch =
+            bench::parseNumber<unsigned>("--batch", item.c_str());
+        if (batch == 0)
+            cllm_fatal("--batch entries must be at least 1");
+        out.push_back(batch);
+    }
+    if (out.empty())
+        cllm_fatal("--batch needs at least one size");
     return out;
 }
 
@@ -110,49 +111,39 @@ main(int argc, char **argv)
 {
     std::string model_name = "7b", machine_name = "emr1";
     std::string backend_name = "all", dtype_name = "bf16";
-    std::vector<unsigned> batches = {1};
+    std::string batch_list = "1";
     unsigned in_len = 1024, out_len = 128, beam = 1;
     unsigned sockets = 1, cores = 0;
-    bool amx = true, csv = false;
+    bool no_amx = false, csv = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                cllm_fatal("missing value for ", arg);
-            return argv[++i];
-        };
-        if (arg == "--model")
-            model_name = next();
-        else if (arg == "--machine")
-            machine_name = next();
-        else if (arg == "--backend")
-            backend_name = next();
-        else if (arg == "--dtype")
-            dtype_name = next();
-        else if (arg == "--batch")
-            batches = parseList(next());
-        else if (arg == "--input")
-            in_len = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--output")
-            out_len = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--beam")
-            beam = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--sockets")
-            sockets = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--cores")
-            cores = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--no-amx")
-            amx = false;
-        else if (arg == "--csv")
-            csv = true;
-        else if (arg == "--help" || arg == "-h") {
-            std::cout << "see the file header for usage\n";
-            return 0;
-        } else {
-            cllm_fatal("unknown argument '", arg, "'");
-        }
-    }
+    bench::parseFlags(
+        argc, argv,
+        {"usage: sweep_tool [options]\n\n",
+         {
+             {"--model", "<7b|13b|70b|llama3|gptj|falcon>",
+              "model to price (default 7b)", &model_name},
+             {"--machine", "<emr1|emr2|spr>", "host CPU (default emr1)",
+              &machine_name},
+             {"--backend", "<bare|vm|vmth|vmnb|sgx|tdx|all>",
+              "deployment to price (default all)", &backend_name},
+             {"--dtype", "<fp32|bf16|int8>", "weight type (default bf16)",
+              &dtype_name},
+             {"--batch", "N[,N...]", "batch sizes to sweep (default 1)",
+              &batch_list},
+             {"--input", "N", "prompt tokens (default 1024)", &in_len,
+              {1}},
+             {"--output", "N", "generated tokens (default 128)",
+              &out_len, {1}},
+             {"--beam", "N", "beam width (default 1)", &beam, {1}},
+             {"--sockets", "N", "sockets (default 1)", &sockets, {1}},
+             {"--cores", "N", "cores in use, 0 = all (default 0)",
+              &cores},
+             {"--no-amx", "", "price without AMX", &no_amx},
+             {"--csv", "", "print the table as CSV", &csv},
+             {"--help", "", "show this help"},
+         }});
+    const std::vector<unsigned> batches = parseBatchList(batch_list);
+    const bool amx = !no_amx;
 
     const llm::ModelConfig model = modelByName(model_name);
     const hw::CpuSpec cpu = machineByName(machine_name);

@@ -24,9 +24,11 @@ gemm(const Tensor &a, const Tensor &b, Tensor &c)
     // Row blocks are the parallel unit: each owns a disjoint slice of
     // C, and the (p0, j0, i, p, j) accumulation order within a row is
     // exactly the serial blocked loop's, so results are bit-identical
-    // at any thread count.
+    // at any thread count and any grain. A row costs k*n
+    // multiply-adds.
     constexpr std::size_t kBlock = 64;
-    par::parallelFor(0, m, kBlock, [&](std::size_t i0, std::size_t i1) {
+    par::parallelFor(0, m, par::grainFor(kBlock, k * n),
+                     [&](std::size_t i0, std::size_t i1) {
         for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
             for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
                 const std::size_t p1 = std::min(p0 + kBlock, k);
@@ -59,10 +61,10 @@ gemmTransB(const Tensor &a, const Tensor &b, Tensor &c)
     // Partition the (large) output-feature axis, not the (small)
     // batch axis: each chunk owns columns [j0, j1) of every row of C.
     // Every C(i, j) is an independent dot product, so the split
-    // cannot change any value.
+    // cannot change any value. A column costs m*k multiply-adds.
     constexpr std::size_t kColGrain = 32;
-    par::parallelFor(0, n, kColGrain, [&](std::size_t j0,
-                                          std::size_t j1) {
+    par::parallelFor(0, n, par::grainFor(kColGrain, m * k),
+                     [&](std::size_t j0, std::size_t j1) {
         for (std::size_t i = 0; i < m; ++i) {
             const float *arow = a.row(i);
             float *crow = c.row(i);
@@ -81,10 +83,11 @@ void
 matvec(const Tensor &w, const float *x, float *y)
 {
     const std::size_t rows = w.rows(), cols = w.cols();
-    // Each output row is an independent dot product.
+    // Each output row is an independent dot product of cols
+    // multiply-adds.
     constexpr std::size_t kRowGrain = 32;
-    par::parallelFor(0, rows, kRowGrain, [&](std::size_t r0,
-                                             std::size_t r1) {
+    par::parallelFor(0, rows, par::grainFor(kRowGrain, cols),
+                     [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
             const float *wr = w.row(r);
             float acc = 0.0f;
@@ -214,8 +217,8 @@ void
 matvecQuantized(const QuantizedTensor &w, const float *x, float *y)
 {
     constexpr std::size_t kRowGrain = 32;
-    par::parallelFor(0, w.rows, kRowGrain, [&](std::size_t r0,
-                                               std::size_t r1) {
+    par::parallelFor(0, w.rows, par::grainFor(kRowGrain, w.cols),
+                     [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
             const std::int8_t *row = w.data.data() + r * w.cols;
             float acc = 0.0f;

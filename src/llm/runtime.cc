@@ -341,9 +341,10 @@ TinyLlama::forward(TokenId token, KvCache &cache) const
         const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
         // Heads are independent: each owns a disjoint slice of
         // attn_out and a private score buffer, so the per-head math
-        // is identical at any thread count.
-        par::parallelFor(0, cfg_.heads, 1, [&](std::size_t h0,
-                                               std::size_t h1) {
+        // is identical at any thread count. A head costs 2*ctx*hd
+        // multiply-adds (scores, then the weighted value sum).
+        par::parallelFor(0, cfg_.heads, par::grainFor(1, 2 * ctx * hd),
+                         [&](std::size_t h0, std::size_t h1) {
             std::vector<float> scores(ctx);
             for (std::size_t h = h0; h < h1; ++h) {
                 const unsigned kv_h = static_cast<unsigned>(h) / group;
@@ -465,9 +466,16 @@ TinyLlama::forwardBatch(const std::vector<TokenId> &tokens,
         const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
         // Sequences are independent (disjoint caches and attn_out
         // rows), so the batch axis is the parallel unit; per-sequence
-        // head order stays serial and bit-identical.
-        par::parallelFor(0, bsz, 1, [&](std::size_t b0,
-                                        std::size_t b1) {
+        // head order stays serial and bit-identical. A sequence costs
+        // 2*ctx*hd multiply-adds per head; the grain takes the
+        // batch's mean context.
+        std::size_t ctx_sum = 0;
+        for (std::size_t b = 0; b < bsz; ++b)
+            ctx_sum += caches[b]->length();
+        const std::size_t seq_work =
+            (2 * ctx_sum * hd * cfg_.heads + bsz - 1) / bsz;
+        par::parallelFor(0, bsz, par::grainFor(1, seq_work),
+                         [&](std::size_t b0, std::size_t b1) {
             for (std::size_t b = b0; b < b1; ++b) {
                 const std::size_t ctx = caches[b]->length();
                 std::vector<float> scores(ctx);

@@ -1,5 +1,6 @@
 #include "par/pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -28,11 +29,28 @@ chunkCounter()
     return c;
 }
 
+using ChunkBody =
+    std::function<void(std::size_t, std::size_t, std::size_t)>;
+
+/** Run chunk `c` of [begin, end) at `grain` on the calling thread. */
+void
+runChunk(const ChunkBody &body, std::size_t begin, std::size_t end,
+         std::size_t grain, std::size_t c)
+{
+    const std::size_t b = begin + c * grain;
+    const std::size_t e = std::min(b + grain, end);
+    chunkCounter().inc();
+    // Wall-clock chunk span, active only under CLLM_TRACE=all; one
+    // relaxed load otherwise.
+    obs::WallSpan span("par.chunk");
+    body(c, b, e);
+}
+
 /** One parallelFor invocation. Heap-allocated and shared so a worker
  *  that wakes late still holds the job it saw, never a newer one. */
 struct Job
 {
-    std::function<void(std::size_t, std::size_t, std::size_t)> body;
+    ChunkBody body;
     std::size_t begin = 0;
     std::size_t end = 0;
     std::size_t grain = 1;
@@ -57,14 +75,8 @@ struct Job
             const std::size_t chunk = next.fetch_add(1);
             if (chunk >= chunks)
                 break;
-            const std::size_t b = begin + chunk * grain;
-            const std::size_t e = std::min(b + grain, end);
-            chunkCounter().inc();
             try {
-                // Wall-clock chunk span, active only under
-                // CLLM_TRACE=all; one relaxed load otherwise.
-                obs::WallSpan span("par.chunk");
-                body(chunk, b, e);
+                runChunk(body, begin, end, grain, chunk);
             } catch (...) {
                 std::lock_guard<std::mutex> lk(errMutex);
                 if (chunk < errChunk) {
@@ -117,33 +129,11 @@ class ThreadPool
         startWorkers();
     }
 
+    /** Run a job of two or more chunks across the pool; the caller
+     *  participates. */
     void
     run(const std::shared_ptr<Job> &job)
     {
-        // Inline when parallelism cannot help or would self-deadlock:
-        // nested call from a task, single chunk, or width-1 pool.
-        if (tl_in_task || width_ <= 1 || job->chunks <= 1) {
-            const bool outer = !tl_in_task;
-            for (std::size_t c = 0; c < job->chunks; ++c) {
-                const std::size_t b = job->begin + c * job->grain;
-                const std::size_t e = std::min(b + job->grain, job->end);
-                if (outer)
-                    tl_in_task = true;
-                chunkCounter().inc();
-                try {
-                    obs::WallSpan span("par.chunk");
-                    job->body(c, b, e);
-                } catch (...) {
-                    if (outer)
-                        tl_in_task = false;
-                    throw;
-                }
-                if (outer)
-                    tl_in_task = false;
-            }
-            return;
-        }
-
         std::lock_guard<std::mutex> serial(jobSerialMutex_);
         {
             std::lock_guard<std::mutex> lk(mutex_);
@@ -257,21 +247,36 @@ chunkCount(std::size_t count, std::size_t grain)
 }
 
 void
-forEachChunk(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>
-        &body)
+forEachChunk(std::size_t begin, std::size_t end, std::size_t grain,
+             const ChunkBody &body)
 {
     if (grain == 0)
         cllm_panic("forEachChunk: zero grain");
     if (begin >= end)
         return;
+    const std::size_t chunks = chunkCount(end - begin, grain);
+    // Inline, in chunk order, when parallelism cannot help or would
+    // self-deadlock: a single chunk, a nested call from a task, or a
+    // width-1 pool. No Job is built and no worker wakes.
+    if (chunks == 1 || tl_in_task || threadCount() <= 1) {
+        const bool outer = !tl_in_task;
+        tl_in_task = true;
+        try {
+            for (std::size_t c = 0; c < chunks; ++c)
+                runChunk(body, begin, end, grain, c);
+        } catch (...) {
+            tl_in_task = !outer;
+            throw;
+        }
+        tl_in_task = !outer;
+        return;
+    }
     auto job = std::make_shared<Job>();
     job->body = body;
     job->begin = begin;
     job->end = end;
     job->grain = grain;
-    job->chunks = chunkCount(end - begin, grain);
+    job->chunks = chunks;
     ThreadPool::instance().run(job);
 }
 

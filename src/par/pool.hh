@@ -12,6 +12,12 @@
  * files stay pinned while the hot paths (GEMM, attention, AES-CTR,
  * dense retrieval, bench sweeps) fan out across cores.
  *
+ * Grains are pure functions of a call's shape, never of the thread
+ * count: `grainFor` sizes a call site's grain from the work one item
+ * carries, so a range whose whole work is below one chunk's worth
+ * runs as a single chunk, inline on the caller, without waking the
+ * pool.
+ *
  * Thread-count resolution: the `CLLM_THREADS` environment variable if
  * set and positive, else `std::thread::hardware_concurrency()`. Tests
  * and benches may override at runtime with `setThreadCount()`.
@@ -25,6 +31,7 @@
 #ifndef CLLM_PAR_POOL_HH
 #define CLLM_PAR_POOL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -42,6 +49,29 @@ unsigned threadCount();
  */
 void setThreadCount(unsigned n);
 
+/**
+ * Multiply-adds one chunk must carry before a dispatch pays for
+ * itself. `BM_ParDispatch` (bench/micro_kernels) on a 4-core VM: a
+ * woken worker starts its first chunk ~15 µs after the dispatch, so
+ * width 2 and 4 break even with inline execution at ~2^13 scalar
+ * multiply-adds a chunk (~6 µs). At 2^16 (~48 µs at 0.73 ns each)
+ * width 2 runs 1.7x and width 4 2.8x faster than inline.
+ */
+inline constexpr std::size_t kMinChunkWork = std::size_t{1} << 16;
+
+/**
+ * Grain for a range whose items each carry `workPerItem`
+ * multiply-adds: max(minGrain, ceil(kMinChunkWork / workPerItem)).
+ * A pure function of the call's shape, so chunking — and with it the
+ * determinism contract — never depends on the thread count.
+ */
+constexpr std::size_t
+grainFor(std::size_t minGrain, std::size_t workPerItem)
+{
+    const std::size_t w = std::max<std::size_t>(workPerItem, 1);
+    return std::max(minGrain, (kMinChunkWork + w - 1) / w);
+}
+
 /** Number of chunks a range of `count` items splits into at `grain`.
  *  Depends only on (count, grain): ceil(count / grain). */
 std::size_t chunkCount(std::size_t count, std::size_t grain);
@@ -51,9 +81,11 @@ std::size_t chunkCount(std::size_t count, std::size_t grain);
  * given grain. Chunk `i` always covers
  * [begin + i*grain, min(begin + (i+1)*grain, end)), whatever the
  * thread count. Chunks may run concurrently and in any order; bodies
- * must write disjoint state. The first-thrown exception (lowest chunk
- * index wins when several chunks throw) is rethrown on the caller
- * after all chunks finish. `grain` must be positive.
+ * must write disjoint state. A one-chunk range, a call nested in a
+ * chunk, or a width-1 pool runs inline on the caller in chunk order.
+ * The first-thrown exception (lowest chunk index wins when several
+ * chunks throw) is rethrown on the caller after all chunks finish.
+ * `grain` must be positive.
  */
 void forEachChunk(
     std::size_t begin, std::size_t end, std::size_t grain,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "llm/kernels.hh"
+#include "obs/metrics.hh"
 #include "par/pool.hh"
 #include "util/rng.hh"
 
@@ -361,36 +362,77 @@ TEST(ThreadDeterminism, GemmBitIdentical)
     });
 }
 
+// The 301-row matvecs fall under par::kMinChunkWork and run as one
+// chunk on the caller; the 2053-wide shapes split into several chunks
+// with a ragged tail and keep the dispatched path under test.
+
 TEST(ThreadDeterminism, GemmTransBBitIdentical)
 {
     const Tensor a = randomTensor(8, 128, 23);
-    const Tensor w = randomTensor(200, 128, 24);
-    expectBitIdenticalAcrossThreads([&] {
-        Tensor c(8, 200);
-        gemmTransB(a, w, c);
-        return std::vector<float>(c.data(), c.data() + c.size());
-    });
+    for (std::size_t n : {200u, 2053u}) {
+        const Tensor w = randomTensor(n, 128, 24);
+        expectBitIdenticalAcrossThreads([&] {
+            Tensor c(8, n);
+            gemmTransB(a, w, c);
+            return std::vector<float>(c.data(), c.data() + c.size());
+        });
+    }
 }
 
 TEST(ThreadDeterminism, MatvecBitIdentical)
 {
-    const Tensor w = randomTensor(301, 128, 25);
     const Tensor x = randomTensor(128, 1, 26);
-    expectBitIdenticalAcrossThreads([&] {
-        std::vector<float> y(301);
-        matvec(w, x.data(), y.data());
-        return y;
-    });
+    for (std::size_t rows : {301u, 2053u}) {
+        const Tensor w = randomTensor(rows, 128, 25);
+        expectBitIdenticalAcrossThreads([&] {
+            std::vector<float> y(rows);
+            matvec(w, x.data(), y.data());
+            return y;
+        });
+    }
 }
 
 TEST(ThreadDeterminism, MatvecQuantizedBitIdentical)
 {
-    const QuantizedTensor q =
-        QuantizedTensor::quantize(randomTensor(301, 128, 27));
     const Tensor x = randomTensor(128, 1, 28);
-    expectBitIdenticalAcrossThreads([&] {
-        std::vector<float> y(301);
-        matvecQuantized(q, x.data(), y.data());
-        return y;
-    });
+    for (std::size_t rows : {301u, 2053u}) {
+        const QuantizedTensor q =
+            QuantizedTensor::quantize(randomTensor(rows, 128, 27));
+        expectBitIdenticalAcrossThreads([&] {
+            std::vector<float> y(rows);
+            matvecQuantized(q, x.data(), y.data());
+            return y;
+        });
+    }
+}
+
+namespace {
+
+/** par.chunks executed by one matvec of a rows x cols matrix. */
+std::uint64_t
+matvecChunks(std::size_t rows, std::size_t cols)
+{
+    const Tensor w = randomTensor(rows, cols, 37);
+    const Tensor x = randomTensor(cols, 1, 38);
+    std::vector<float> y(rows);
+    const obs::Counter &chunks =
+        obs::Registry::global().counter("par.chunks");
+    const std::uint64_t before = chunks.total();
+    matvec(w, x.data(), y.data());
+    return chunks.total() - before;
+}
+
+} // namespace
+
+TEST(ThreadDeterminism, MatvecChunkCountFollowsWork)
+{
+    // 48x48 is ~2.3k multiply-adds: one chunk, whatever the width.
+    // 2053x128 at grain ceil(2^16 / 128) = 512 is four full chunks
+    // and a 5-row tail.
+    for (unsigned threads : {1u, 4u}) {
+        par::setThreadCount(threads);
+        EXPECT_EQ(matvecChunks(48, 48), 1u) << threads << " threads";
+        EXPECT_EQ(matvecChunks(2053, 128), 5u) << threads << " threads";
+    }
+    par::setThreadCount(0);
 }

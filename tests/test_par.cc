@@ -14,6 +14,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "par/pool.hh"
@@ -40,6 +41,55 @@ TEST(ChunkCount, MatchesCeilDiv)
     EXPECT_EQ(par::chunkCount(10, 3), 4u);
     EXPECT_EQ(par::chunkCount(9, 3), 3u);
     EXPECT_EQ(par::chunkCount(2, 100), 1u);
+}
+
+TEST(GrainFor, NeverBelowMinGrain)
+{
+    EXPECT_EQ(par::grainFor(32, par::kMinChunkWork), 32u);
+    EXPECT_EQ(par::grainFor(32, 10 * par::kMinChunkWork), 32u);
+    EXPECT_EQ(par::grainFor(1, par::kMinChunkWork), 1u);
+    for (std::size_t work : {1u, 7u, 48u, 128u, 4096u, 1u << 20})
+        for (std::size_t min_grain : {1u, 32u, 64u})
+            EXPECT_GE(par::grainFor(min_grain, work), min_grain);
+}
+
+TEST(GrainFor, ChunkCarriesAtLeastMinChunkWork)
+{
+    // ceil(kMinChunkWork / work): the smallest grain whose chunk
+    // reaches the threshold.
+    EXPECT_EQ(par::grainFor(1, 128), par::kMinChunkWork / 128);
+    EXPECT_EQ(par::grainFor(1, 48), (par::kMinChunkWork + 47) / 48);
+    EXPECT_EQ(par::grainFor(1, 0), par::kMinChunkWork);
+    for (std::size_t work : {1u, 3u, 48u, 100u, 4097u}) {
+        const std::size_t g = par::grainFor(1, work);
+        EXPECT_GE(g * work, par::kMinChunkWork) << work;
+        EXPECT_LT((g - 1) * work, par::kMinChunkWork) << work;
+    }
+}
+
+TEST(GrainFor, SameAtEveryThreadCount)
+{
+    std::vector<std::size_t> want;
+    for (std::size_t work : {1u, 48u, 128u, 1u << 16, 1u << 18})
+        want.push_back(par::grainFor(32, work));
+    for (unsigned threads : {1u, 2u, 8u}) {
+        ScopedThreads scoped(threads);
+        std::vector<std::size_t> got;
+        for (std::size_t work : {1u, 48u, 128u, 1u << 16, 1u << 18})
+            got.push_back(par::grainFor(32, work));
+        EXPECT_EQ(got, want) << threads << " threads";
+    }
+}
+
+TEST(ParallelFor, OneChunkRunsOnTheCaller)
+{
+    ScopedThreads scoped(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::thread::id ran_on;
+    par::parallelFor(0, 100, 100, [&](std::size_t, std::size_t) {
+        ran_on = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran_on, caller);
 }
 
 TEST(ParallelFor, EmptyRangeNeverInvokesBody)

@@ -10,6 +10,7 @@
 
 #include "llm/runtime.hh"
 #include "llm/tokenizer.hh"
+#include "par/pool.hh"
 #include "util/rng.hh"
 
 using namespace cllm;
@@ -337,6 +338,90 @@ TEST(RuntimeBatchDeath, MismatchedSizesFatal)
     KvCache c = m.makeCache();
     std::vector<KvCache *> ptrs = {&c};
     EXPECT_DEATH(m.forwardBatch({1, 2}, ptrs), "mismatch");
+}
+
+namespace {
+
+/** Wide enough that attention splits across heads at a few hundred
+ *  tokens of context: 16 heads of width 8. */
+ModelConfig
+manyHeadConfig()
+{
+    ModelConfig m = tinyConfig();
+    m.hidden = 128;
+    m.heads = 16;
+    m.kvHeads = 4;
+    m.ffn = 256;
+    return m;
+}
+
+/** Logits of `fn()` at 1, 2 and 8 threads must match bit for bit. */
+template <typename Fn>
+void
+expectSameLogitsAtThreadCounts(Fn &&fn)
+{
+    par::setThreadCount(1);
+    const std::vector<std::vector<float>> serial = fn();
+    for (unsigned threads : {2u, 8u}) {
+        par::setThreadCount(threads);
+        EXPECT_EQ(fn(), serial) << threads << " threads";
+    }
+    par::setThreadCount(0);
+}
+
+} // namespace
+
+TEST(RuntimeThreads, ForwardBitIdenticalAtLongContext)
+{
+    const ModelConfig cfg = manyHeadConfig();
+    const TinyLlama m(cfg, hw::Dtype::Fp32, 81);
+    KvCache prefilled = m.makeCache();
+    par::setThreadCount(1);
+    for (unsigned i = 0; i < 560; ++i)
+        m.forward(static_cast<TokenId>((i * 37 + 11) % cfg.vocab),
+                  prefilled);
+    // At this context a head's 2*ctx*hd multiply-adds put several
+    // heads, not all sixteen, in one chunk.
+    const std::size_t grain =
+        par::grainFor(1, 2 * prefilled.length() * cfg.headDim());
+    ASSERT_LT(grain, cfg.heads);
+
+    expectSameLogitsAtThreadCounts([&] {
+        KvCache cache = prefilled;
+        std::vector<std::vector<float>> out;
+        for (TokenId t = 1; t <= 8; ++t)
+            out.push_back(m.forward(t, cache));
+        return out;
+    });
+}
+
+TEST(RuntimeThreads, ForwardBatchBitIdenticalAtLongContext)
+{
+    const ModelConfig cfg = manyHeadConfig();
+    const TinyLlama m(cfg, hw::Dtype::Fp32, 82);
+    std::vector<KvCache> prefilled(4, m.makeCache());
+    par::setThreadCount(1);
+    for (std::size_t b = 0; b < prefilled.size(); ++b)
+        for (unsigned i = 0; i < 500 + 20 * b; ++i)
+            m.forward(static_cast<TokenId>((i * 13 + b) % cfg.vocab),
+                      prefilled[b]);
+    // One sequence's attention (all heads) clears kMinChunkWork, so
+    // every sequence is its own chunk.
+    ASSERT_EQ(par::grainFor(1, 2 * 500 * cfg.headDim() * cfg.heads), 1u);
+
+    expectSameLogitsAtThreadCounts([&] {
+        std::vector<KvCache> caches = prefilled;
+        std::vector<KvCache *> ptrs;
+        for (KvCache &c : caches)
+            ptrs.push_back(&c);
+        std::vector<std::vector<float>> out;
+        for (TokenId t = 1; t <= 4; ++t) {
+            const std::vector<TokenId> toks(caches.size(), t);
+            for (auto &logits : m.forwardBatch(toks, ptrs))
+                out.push_back(std::move(logits));
+        }
+        return out;
+    });
 }
 
 TEST(GemmTransB, MatchesMatvecPerRow)
