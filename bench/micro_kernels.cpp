@@ -216,7 +216,8 @@ BM_ParDispatch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kChunks * work);
 }
 BENCHMARK(BM_ParDispatch)
-    ->ArgsProduct({{1, 2, 4}, {0, 1 << 10, 1 << 12, 1 << 13, 1 << 14, 1 << 16}});
+    ->ArgsProduct({{1, 2, 4},
+                   {0, 1 << 10, 1 << 12, 1 << 13, 1 << 14, 1 << 16}});
 
 } // namespace
 

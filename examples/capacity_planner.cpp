@@ -49,7 +49,8 @@ main(int argc, char **argv)
         std::cerr << kUsage;
         return 2;
     }
-    const unsigned batch = argc > 1 ? positiveOperand("batch", argv[1]) : 4;
+    const unsigned batch =
+        argc > 1 ? positiveOperand("batch", argv[1]) : 4;
     const unsigned in_len =
         argc > 2 ? positiveOperand("input_tokens", argv[2]) : 128;
 
